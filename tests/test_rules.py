@@ -1,8 +1,10 @@
 """Rule application: dangling condition, deletion/relabelling, rule sets."""
 
+import random
+
 import pytest
 
-from minigp.graphs import EMPTY, Graph, Label, validate_host_graph
+from minigp.graphs import EMPTY, Graph, Label, to_text, validate_host_graph
 from minigp.matching import PartialMorphism, match_all, match_bruteforce
 from minigp.rules import (
     DanglingViolation,
@@ -15,6 +17,7 @@ from minigp.rules import (
     parse_rules,
     rules_to_text,
 )
+from util import apply_reference, dangling_ok_reference, random_rule_and_host
 
 
 def single(g):
@@ -200,6 +203,31 @@ class TestApply:
         y = G.add_node(Label(1))
         G.add_edge(x, y, Label(None, "red"))
         assert validate_host_graph(apply(G, r, single((r, G)))) == []
+
+
+class TestApplyOracle:
+    def test_agrees_with_reference_on_random_triples(self):
+        """Dangling check and application equal the graph-walking reference
+        on random (fast rule, host, match) triples, ids included."""
+        rng = random.Random(23)
+        triples = dangling = 0
+        while triples < 600:
+            r, G = random_rule_and_host(rng)
+            for h in match_all(r.left, G).matches:
+                triples += 1
+                ok = dangling_ok_reference(h, r, G)
+                assert dangling_ok(h, r, G) == ok
+                if not ok:
+                    dangling += 1
+                    with pytest.raises(DanglingViolation):
+                        apply(G, r, h)
+                    continue
+                want = apply_reference(G, r, h)
+                for H in (apply(G, r, h), apply(G.copy(), r, h, in_place=True)):
+                    assert to_text(H) == to_text(want)
+                    assert (H.next_node_id, H.next_edge_id) == \
+                        (want.next_node_id, want.next_edge_id)
+        assert 50 <= dangling <= triples - 300
 
 
 class TestRuleSet:

@@ -1,7 +1,9 @@
-"""Shared test helpers: random graphs and random machines."""
+"""Shared test helpers: random graphs and rules, and the reference
+implementations the fast code is checked against."""
 
 from minigp.graphs import Graph, Label
 from minigp.matching import NotFastRule, edge_enumerations
+from minigp.rules import DanglingViolation, Rule
 
 FULL_ATOMS = [None, 0, 1, 2, "L", "R", "I"]
 SMALL_ATOMS = [None, 0, 1]
@@ -69,3 +71,81 @@ def random_match_pair(rng, max_l=4, max_g=8):
     else:
         G = random_graph(rng, max_g, atoms, marks, emarks, root_p=0.25)
     return L, G
+
+
+def random_rule_and_host(rng, max_l=4, max_new=2):
+    """A random rule with a fast left side, and a host that embeds that
+    side.  Right-side node and edge ids are drawn out of order, so
+    application must sort them itself."""
+    small = rng.random() < 0.5
+    atoms = SMALL_ATOMS if small else FULL_ATOMS
+    marks = SMALL_MARKS if small else NODE_MARKS
+    emarks = SMALL_MARKS if small else EDGE_MARKS
+    L = random_fast_lhs(rng, max_l, small=small)
+    kept = [v for v in sorted(L.nodes) if rng.random() < 0.6]
+    items = kept + [None] * rng.randint(0, max_new)
+    rng.shuffle(items)
+    R = Graph()
+    interface = {}
+    for v, rid in zip(items, rng.sample(range(3 * len(items) + 1),
+                                        len(items))):
+        if v is not None and rng.random() < 0.5:
+            lab = L.nodes[v]
+        else:
+            lab = Label(rng.choice(atoms), rng.choice(marks))
+        root = rng.random() < 0.4
+        if v is not None and rng.random() < 0.6:
+            root = v in L.roots
+        R.add_node(lab, root=root, nid=rid)
+        if v is not None:
+            interface[v] = rid
+    ids = sorted(R.nodes)
+    n_edges = rng.randint(0, 2 * len(ids)) if ids else 0
+    for eid in rng.sample(range(3 * n_edges + 1), n_edges):
+        R.add_edge(rng.choice(ids), rng.choice(ids),
+                   Label(rng.choice(atoms), rng.choice(emarks)), eid=eid)
+    host = embed_and_grow(rng, L, 4, atoms, marks, emarks)
+    return Rule("random", L, R, interface), host
+
+
+def dangling_ok_reference(h, r, G):
+    """The dangling condition, walking the rule's sides on every call."""
+    matched_edges = set(h.edge_map.values())
+    for lv in r.left.nodes:
+        if lv in r.interface:
+            continue
+        w = h.node_map[lv]
+        for e in G.out_edges(w):
+            if e not in matched_edges:
+                return False
+        for e in G.in_edges(w):
+            if e not in matched_edges:
+                return False
+    return True
+
+
+def apply_reference(G, r, h, in_place=False):
+    """Rule application, re-sorting the rule's sides on every call: the
+    oracle for the compiled application script."""
+    if not dangling_ok_reference(h, r, G):
+        raise DanglingViolation(f"rule {r.name} at {h.node_map}")
+    H = G if in_place else G.copy()
+    for e in sorted(h.edge_map):
+        H.remove_edge(h.edge_map[e])
+    node_map = {rv: h.node_map[lv] for lv, rv in r.interface.items()}
+    for lv in sorted(r.left.nodes):
+        if lv not in r.interface:
+            H.remove_node(h.node_map[lv])
+    for rv in sorted(r.right.nodes):
+        if rv in node_map:
+            H.relabel_node(node_map[rv], r.right.nodes[rv])
+        else:
+            node_map[rv] = H.add_node(r.right.nodes[rv])
+    for re_ in sorted(r.right.edges):
+        s, t, lab = r.right.edges[re_]
+        H.add_edge(node_map[s], node_map[t], lab)
+    for lv in r.interface:
+        H.roots.discard(h.node_map[lv])
+    for rv in r.right.roots:
+        H.roots.add(node_map[rv])
+    return H
