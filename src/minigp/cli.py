@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 
 from . import graphs
 from .compiler import gen_sim
-from .harness import (Trace, bench_matching, lockstep_verify, measure,
-                      metrics_lines, metrics_table, run_sim)
+from .harness import (SimulationError, Trace, bench_matching,
+                      lockstep_verify, measure, metrics_lines, metrics_table,
+                      run_sim)
 from .lang import BudgetExceeded, NullFailureViolation
 from .rules import rules_to_text
 from .turing import (ParseError, TMConfiguration, TMError, TuringMachine,
@@ -208,7 +209,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ParseError, graphs.ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (TMError, BudgetExceeded, NullFailureViolation) as e:
+    except (TMError, BudgetExceeded, NullFailureViolation,
+            SimulationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

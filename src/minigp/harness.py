@@ -94,6 +94,10 @@ class VerifyReport:
                 and self.unique_match_ok and not self.errors)
 
 
+class SimulationError(RuntimeError):
+    """A full simulator run failed, or its outcome contradicts the machine."""
+
+
 class _Abort(Exception):
     """Stops the interpreter once the report is settled."""
 
@@ -216,12 +220,15 @@ def run_sim(m: TuringMachine, input: str, max_steps: int = 10_000, *,
 
     interp = Interp(mode=mode, max_rule_calls=max_rule_calls, loop_hook=hook)
     cfg = interp.run(sim.program, initial_graph(input, m.start))
-    assert isinstance(cfg, Done), "simulator run cannot fail"
+    if not isinstance(cfg, Done):
+        raise SimulationError("simulator run failed")
     got, k = dec(cfg.graph)
-    assert got == final, "simulated final configuration diverged"
+    if got != final:
+        raise SimulationError("simulated final configuration diverged")
     st = interp.stats
     c = k + 2
-    assert st.restarts == c - 2, "levels climbed and restarts disagree"
+    if st.restarts != c - 2:
+        raise SimulationError("levels climbed and restarts disagree")
     bits = math.ceil(math.log2(st.peak_nodes)) if st.peak_nodes > 1 else 0
     metrics = Metrics(
         rule_calls=st.rule_calls,
@@ -267,7 +274,8 @@ def compare_modes(m: TuringMachine, input: str, *,
     for mode in ("semantic", "efficient"):
         interp = Interp(mode=mode, max_rule_calls=max_rule_calls)
         cfg = interp.run(sim.program, initial_graph(input, m.start))
-        assert isinstance(cfg, Done), "simulator run cannot fail"
+        if not isinstance(cfg, Done):
+            raise SimulationError(f"simulator run failed in {mode} mode")
         results.append((cfg.graph, interp.stats.rule_calls))
     (g_sem, n_sem), (g_eff, n_eff) = results
     return ModeAgreement(g_sem == g_eff, n_sem, n_eff)

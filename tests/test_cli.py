@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from minigp.cli import main
+from minigp.lang import Fail, Interp
 from minigp.encoding import dec
 from minigp.graphs import from_text
 from minigp.machines import stamp_machine, unary
@@ -150,3 +151,10 @@ class TestErrors:
                                "--input", "00")
         assert code == 1
         assert "error:" in err
+
+    def test_failed_simulation_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(Interp, "run", lambda self, program, g: Fail())
+        code, _, err = run_cli(capsys, "run", f"{FIXTURES}/stamp.tm",
+                               "--input", "0")
+        assert code == 1
+        assert "error: simulator run failed" in err

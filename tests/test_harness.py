@@ -4,15 +4,19 @@ fixture machines, and the on-disk machine files."""
 
 from __future__ import annotations
 
+import ast
 import math
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
 import pytest
 
+from minigp import harness
 from minigp.compiler import gen_sim
 from minigp.graphs import graph_space
 from minigp.harness import (
+    SimulationError,
     bench_host,
     bench_matching,
     compare_modes,
@@ -20,7 +24,9 @@ from minigp.harness import (
     measure,
     metrics_lines,
     metrics_table,
+    run_sim,
 )
+from minigp.lang import Fail, Interp
 from minigp.machines import (
     counter_input,
     counter_machine,
@@ -38,6 +44,7 @@ from minigp.turing import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minigp"
 
 
 def fill_machine(writes: int) -> TuringMachine:
@@ -239,3 +246,29 @@ class TestMachines:
         ones = parse_tm((FIXTURES / "ones.tm").read_text())
         assert ones.delta == {(0, 1, 2): (0, 1, "R", "R"),
                               (0, 0, 2): (1, 1, "S", "S")}
+
+
+class TestTypedFailures:
+    def test_package_has_no_assert_statements(self):
+        """python -O strips asserts, so no check may be one."""
+        found = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+        assert found == []
+
+    def test_run_sim_divergence_raises(self, monkeypatch):
+        def wrong_final(m, input, max_steps):
+            final, steps, squares = tm_run(m, input, max_steps)
+            return replace(final, work=final.work + "1"), steps, squares
+        monkeypatch.setattr(harness, "tm_run", wrong_final)
+        with pytest.raises(SimulationError, match="diverged"):
+            run_sim(stamp_machine(), unary(1))
+
+    def test_failed_run_raises(self, monkeypatch):
+        monkeypatch.setattr(Interp, "run", lambda self, program, g: Fail())
+        with pytest.raises(SimulationError, match="run failed"):
+            run_sim(stamp_machine(), unary(1))
+        with pytest.raises(SimulationError, match="semantic mode"):
+            compare_modes(stamp_machine(), unary(1))
