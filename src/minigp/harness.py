@@ -323,8 +323,9 @@ def bench_matching(rule: Rule, host_sizes: Sequence[int], *, reps: int = 5,
     rows = []
     for target in host_sizes:
         g = bench_host(target, input)
-        found = match_all(rule.left, g)
-        seconds = _best_of(lambda: match_all(rule.left, g), reps)
+        plan = rule.plan()
+        found = match_all(rule.left, g, plan)
+        seconds = _best_of(lambda: match_all(rule.left, g, plan), reps)
         brute_seconds = None
         if brute:
             brute_seconds = _best_of(lambda: match_bruteforce(rule.left, g),

@@ -1,9 +1,12 @@
 """Injective root-preserving morphisms and root-driven match enumeration.
 
-Matching seeds at host roots and grows along per-root edge enumerations,
-so for rules whose nodes are all root-reachable the work done is independent
-of host size.  A brute-force enumerator over all injective mappings serves
-as the oracle.
+`compile_plan` turns a left-hand side into a search plan once: a flat
+sequence of steps that seed node slots at host roots and follow the
+per-root edge enumerations out of filled slots.  `match_all` runs the plan
+over small tuples of node and edge images and builds a morphism only for
+each complete match, so for rules whose nodes are all root-reachable the
+work done is independent of host size.  A brute-force enumerator over all
+injective mappings serves as the oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import NamedTuple, Optional
 
-from .graphs import Graph
+from .graphs import Graph, Label
 
 
 class NotFastRule(Exception):
@@ -29,9 +32,6 @@ class PartialMorphism:
 
     node_map: dict[int, int] = field(default_factory=dict)
     edge_map: dict[int, int] = field(default_factory=dict)
-
-    def copy(self) -> PartialMorphism:
-        return PartialMorphism(dict(self.node_map), dict(self.edge_map))
 
     def key(self) -> tuple:
         return (tuple(sorted(self.node_map.items())),
@@ -62,58 +62,6 @@ def check_morphism(h: PartialMorphism, L: Graph, G: Graph) -> bool:
         if h.node_map.get(ls) != gs or h.node_map.get(lt) != gt:
             return False
     return True
-
-
-def _node_ok(L: Graph, G: Graph, h: PartialMorphism, v: int, w: int) -> bool:
-    if w in h.node_map.values():
-        return False
-    if L.nodes[v] != G.nodes[w]:
-        return False
-    return (v in L.roots) == (w in G.roots)
-
-
-def extend_node(h: PartialMorphism, L: Graph, G: Graph, v: int,
-                w: int) -> Optional[PartialMorphism]:
-    """Extend h by node v -> w, or None if the result would be invalid."""
-    if v in h.node_map:
-        return None
-    if not _node_ok(L, G, h, v, w):
-        return None
-    out = h.copy()
-    out.node_map[v] = w
-    return out
-
-
-def extend_edge(h: PartialMorphism, L: Graph, G: Graph, e: int,
-                f: int) -> Optional[PartialMorphism]:
-    """Extend h by edge e -> f, mapping any unmapped endpoints to f's.
-    Returns None if the result would be invalid."""
-    if e in h.edge_map or f in h.edge_map.values():
-        return None
-    ls, lt, llab = L.edges[e]
-    gs, gt, glab = G.edges[f]
-    if llab != glab:
-        return None
-    out = h.copy()
-    for lv, gv in ((ls, gs), (lt, gt)):
-        if lv in out.node_map:
-            if out.node_map[lv] != gv:
-                return None
-        else:
-            if not _node_ok(L, G, out, lv, gv):
-                return None
-            out.node_map[lv] = gv
-    out.edge_map[e] = f
-    return out
-
-
-def extend(h: PartialMorphism, L: Graph, G: Graph, item: int, image: int,
-           kind: str = "node") -> Optional[PartialMorphism]:
-    if kind == "node":
-        return extend_node(h, L, G, item, image)
-    if kind == "edge":
-        return extend_edge(h, L, G, item, image)
-    raise ValueError(f"unknown item kind {kind!r}")
 
 
 def edge_enumerations(L: Graph) -> dict[int, list[int]]:
@@ -148,41 +96,107 @@ def edge_enumerations(L: Graph) -> dict[int, list[int]]:
     return enums
 
 
+# Generated rule libraries repeat a few distinct steps thousands of times,
+# so compiled pieces are kept once each, here.
+_SHARED: dict = {}
+
+
+def share(piece):
+    """The first compiled piece equal to this one, stored once for all
+    rules that need it."""
+    return _SHARED.setdefault(piece, piece)
+
+
+class SearchPlan(NamedTuple):
+    """A left-hand side compiled into a fixed sequence of search steps.
+
+    Each step is (src, edge_label, tgt, node_label, root).  With src < 0
+    it seeds a new node slot at a host root labelled node_label.  With
+    src >= 0 it follows an out-edge labelled edge_label from the image of
+    node slot src: tgt >= 0 names the node slot the edge must reach, and
+    tgt < 0 opens a new node slot for a node labelled node_label whose root
+    flag is root.  Every edge step fills the next edge slot.  nodes and
+    edges give the left-side id held by each slot.
+    """
+
+    steps: tuple[tuple[int, Label, int, Optional[Label], bool], ...]
+    nodes: tuple[int, ...]
+    edges: tuple[int, ...]
+
+
+def compile_plan(L: Graph) -> SearchPlan:
+    """The search plan that seeds each root of L in ascending id order and
+    follows its edge enumeration.  Raises NotFastRule like
+    edge_enumerations."""
+    enums = edge_enumerations(L)
+    slot: dict[int, int] = {}
+    steps = []
+    edges = []
+    for root in sorted(L.roots):
+        # A root already reached through an earlier enumeration is not seeded.
+        if root not in slot:
+            slot[root] = len(slot)
+            steps.append(share((-1, None, -1, L.nodes[root], True)))
+        for e in enums[root]:
+            s, t, lab = L.edges[e]
+            if t in slot:
+                steps.append(share((slot[s], lab, slot[t], None, False)))
+            else:
+                slot[t] = len(slot)
+                steps.append(share((slot[s], lab, -1, L.nodes[t],
+                                    t in L.roots)))
+            edges.append(e)
+    return SearchPlan(tuple(steps), share(tuple(slot)), share(tuple(edges)))
+
+
 class MatchResult(NamedTuple):
     matches: list[PartialMorphism]
     extensions: int
 
 
-def match_all(L: Graph, G: Graph) -> MatchResult:
-    """All total injective root-preserving/reflecting morphisms L -> G,
-    found by seeding each root at host roots and extending along its edge
-    enumeration.  Also reports how many single-item extensions were tried."""
-    enums = edge_enumerations(L)
-    partials = [PartialMorphism()]
+def match_all(L: Graph, G: Graph,
+              plan: Optional[SearchPlan] = None) -> MatchResult:
+    """All total injective root-preserving/reflecting morphisms L -> G.
+
+    Runs L's search plan (compiled here unless given) breadth first over
+    tuples of node and edge images, and builds a morphism for each complete
+    match only.  Also reports how many single-item extensions were tried:
+    one per host root at a seed step and one per followed out-edge."""
+    if plan is None:
+        plan = compile_plan(L)
+    nodes, edges, roots, out = G.nodes, G.edges, G.roots, G.out_edges
+    partials = [((), ())]
     count = 0
-    host_roots = sorted(G.roots)
-    for root in sorted(L.roots):
-        # A root already reached through an earlier enumeration is tagged.
-        if not (partials and root in partials[0].node_map):
-            grown: list[PartialMorphism] = []
-            for h in partials:
+    for src, elab, tgt, nlab, root in plan.steps:
+        grown = []
+        if src < 0:
+            host_roots = sorted(roots)
+            count += len(partials) * len(host_roots)
+            for nimg, eimg in partials:
                 for w in host_roots:
-                    count += 1
-                    f = extend_node(h, L, G, root, w)
-                    if f is not None:
-                        grown.append(f)
-            partials = grown
-        for e in enums[root]:
-            src = L.edges[e][0]
-            grown = []
-            for h in partials:
-                for cand in G.out_edges(h.node_map[src]):
-                    count += 1
-                    f = extend_edge(h, L, G, e, cand)
-                    if f is not None:
-                        grown.append(f)
-            partials = grown
-    return MatchResult(partials, count)
+                    if nodes[w] == nlab and w not in nimg:
+                        grown.append((nimg + (w,), eimg))
+        else:
+            for nimg, eimg in partials:
+                cands = out(nimg[src])
+                count += len(cands)
+                for f in cands:
+                    _, t, lab = edges[f]
+                    if lab != elab or f in eimg:
+                        continue
+                    if tgt >= 0:
+                        if nimg[tgt] == t:
+                            grown.append((nimg, eimg + (f,)))
+                    elif (t not in nimg and nodes[t] == nlab
+                          and (t in roots) == root):
+                        grown.append((nimg + (t,), eimg + (f,)))
+        partials = grown
+        if not partials:
+            break
+    slots, eslots = plan.nodes, plan.edges
+    return MatchResult([PartialMorphism(dict(zip(slots, nimg)),
+                                        dict(zip(eslots, eimg)))
+                        for nimg, eimg in partials], count)
 
 
 def match_bruteforce(L: Graph, G: Graph) -> list[PartialMorphism]:

@@ -4,6 +4,16 @@ A rule is a pair of totally labelled graphs sharing an interface of node ids.
 Application deletes the matched image of the left side (edges, then non-
 interface nodes), adds the right side's new nodes and all of its edges, and
 relabels/re-roots the interface images from the right side.
+
+A rule compiles on first use: `plan` gives its left side's search plan,
+and `script` the application script that `apply` and `dangling_ok` replay
+instead of re-sorting both sides on every call.  Compilation is lazy
+because a generated library holds thousands of rules, many of which a run
+never tries: compiling all 2,656 rules of the filler machine up front
+takes nearly as long as generating them.  Scripts are built only for rules that
+match, and equal compiled pieces are shared between rules, so the
+compiled form stays small.  `RuleSet.candidates` memoizes its answer
+under the set of host root labels.
 """
 
 from __future__ import annotations
@@ -13,23 +23,77 @@ from typing import NamedTuple, Optional
 
 from . import graphs
 from .graphs import Graph, Label
-from .matching import PartialMorphism, edge_enumerations, match_all
+from .matching import (PartialMorphism, SearchPlan, compile_plan, match_all,
+                       share)
 
 
 class DanglingViolation(Exception):
     """A deleted node would leave behind an incident host edge."""
 
 
+class Script(NamedTuple):
+    """What one application of a rule does to the host, in replay order.
+
+    Left-side ids resolve through the match.  Kept nodes and then new nodes
+    form a list of images that wire and roots index into: kept holds the
+    left ids of the interface nodes that right-side edges or roots need,
+    and add the labels of the new nodes in ascending right-side id order.
+
+    edges, nodes: left edges and non-interface left nodes to delete.
+    relabel: (left id, label) for interface nodes whose label changes.
+    wire: (source, target, label) per right-side edge, ascending by id.
+    roots: images that become roots; unroot: left ids that stop being one.
+    """
+
+    edges: tuple[int, ...]
+    nodes: tuple[int, ...]
+    relabel: tuple[tuple[int, Optional[Label]], ...]
+    kept: tuple[int, ...]
+    add: tuple[Optional[Label], ...]
+    wire: tuple[tuple[int, int, Label], ...]
+    roots: tuple[int, ...]
+    unroot: tuple[int, ...]
+
+
+def compile_script(r: Rule) -> Script:
+    """The script that applies r at any match."""
+    L, R = r.left, r.right
+    back = {rv: lv for lv, rv in r.interface.items()}
+    new = [rv for rv in sorted(R.nodes) if rv not in back]
+    wired = {v for s, t, _ in R.edges.values() for v in (s, t)}
+    kept = [rv for rv in sorted(back)
+            if rv in wired or (rv in R.roots and back[rv] not in L.roots)]
+    index = {rv: i for i, rv in enumerate(kept + new)}
+    return share(Script(
+        edges=tuple(sorted(L.edges)),
+        nodes=tuple(v for v in sorted(L.nodes) if v not in r.interface),
+        relabel=tuple((back[rv], R.nodes[rv]) for rv in sorted(back)
+                      if R.nodes[rv] != L.nodes[back[rv]]),
+        kept=tuple(back[rv] for rv in kept),
+        add=tuple(R.nodes[rv] for rv in new),
+        wire=tuple((index[s], index[t], lab) for s, t, lab in
+                   (R.edges[e] for e in sorted(R.edges))),
+        roots=tuple(index[rv] for rv in sorted(R.roots)
+                    if rv not in back or back[rv] not in L.roots),
+        unroot=tuple(lv for lv, rv in sorted(r.interface.items())
+                     if lv in L.roots and rv not in R.roots),
+    ))
+
+
 @dataclass
 class Rule:
     """name, left graph, right graph, and the interface node ids shared by
-    both sides (mapped left-id -> right-id; the identity map by convention)."""
+    both sides (mapped left-id -> right-id; the identity map by convention).
+
+    The search plan and the application script are compiled on first use
+    and cached, so the two sides must not change after the rule is used."""
 
     name: str
     left: Graph
     right: Graph
     interface: dict[int, int]
-    _plan: Optional[dict] = field(default=None, repr=False, compare=False)
+    _plan: Optional[SearchPlan] = field(default=None, repr=False, compare=False)
+    _script: Optional[Script] = field(default=None, repr=False, compare=False)
     _noop: Optional[bool] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -39,11 +103,17 @@ class Rule:
         if len(set(self.interface.values())) != len(self.interface):
             raise ValueError(f"rule {self.name}: interface is not a bijection")
 
-    def plan(self) -> dict[int, list[int]]:
-        """Cached edge enumerations of the left side."""
+    def plan(self) -> SearchPlan:
+        """The left side's search plan."""
         if self._plan is None:
-            self._plan = edge_enumerations(self.left)
+            self._plan = compile_plan(self.left)
         return self._plan
+
+    def script(self) -> Script:
+        """The application script."""
+        if self._script is None:
+            self._script = compile_script(self)
+        return self._script
 
     def is_static_noop(self) -> bool:
         """True iff applying the rule can never change any host graph:
@@ -64,44 +134,42 @@ class Rule:
 
 def dangling_ok(h: PartialMorphism, r: Rule, G: Graph) -> bool:
     """True iff no node slated for deletion keeps a host edge outside the match."""
-    matched_edges = set(h.edge_map.values())
-    for lv in r.left.nodes:
-        if lv in r.interface:
-            continue
+    dead = r.script().nodes
+    if not dead:
+        return True
+    matched = set(h.edge_map.values())
+    for lv in dead:
         w = h.node_map[lv]
-        for e in G.out_edges(w):
-            if e not in matched_edges:
-                return False
-        for e in G.in_edges(w):
-            if e not in matched_edges:
-                return False
+        if not matched.issuperset(G.out_edges(w)) or \
+                not matched.issuperset(G.in_edges(w)):
+            return False
     return True
 
 
 def apply(G: Graph, r: Rule, h: PartialMorphism, in_place: bool = False) -> Graph:
-    """Apply r at the total match h.  Preserved items keep their ids; new
-    nodes and all right-side edges get fresh ids in ascending rule-id order."""
-    if not dangling_ok(h, r, G):
+    """Apply r at the total match h by replaying its script.  Preserved
+    items keep their ids; new nodes and all right-side edges get fresh ids
+    in ascending rule-id order."""
+    s = r.script()
+    if s.nodes and not dangling_ok(h, r, G):
         raise DanglingViolation(f"rule {r.name} at {h.node_map}")
     H = G if in_place else G.copy()
-    for e in sorted(h.edge_map):
-        H.remove_edge(h.edge_map[e])
-    node_map = {rv: h.node_map[lv] for lv, rv in r.interface.items()}
-    for lv in sorted(r.left.nodes):
-        if lv not in r.interface:
-            H.remove_node(h.node_map[lv])
-    for rv in sorted(r.right.nodes):
-        if rv in node_map:
-            H.relabel_node(node_map[rv], r.right.nodes[rv])
-        else:
-            node_map[rv] = H.add_node(r.right.nodes[rv])
-    for re_ in sorted(r.right.edges):
-        s, t, lab = r.right.edges[re_]
-        H.add_edge(node_map[s], node_map[t], lab)
-    for lv in r.interface:
-        H.roots.discard(h.node_map[lv])
-    for rv in r.right.roots:
-        H.roots.add(node_map[rv])
+    nm, em = h.node_map, h.edge_map
+    for e in s.edges:
+        H.remove_edge(em[e])
+    for lv in s.nodes:
+        H.remove_node(nm[lv])
+    for lv, lab in s.relabel:
+        H.relabel_node(nm[lv], lab)
+    if s.add or s.wire or s.roots:
+        img = [nm[lv] for lv in s.kept]
+        img += [H.add_node(lab) for lab in s.add]
+        for a, b, lab in s.wire:
+            H.add_edge(img[a], img[b], lab)
+        for i in s.roots:
+            H.roots.add(img[i])
+    for lv in s.unroot:
+        H.roots.discard(nm[lv])
     return H
 
 
@@ -113,8 +181,9 @@ class RuleSet:
     zero matches by construction, leaving outcomes and counts unchanged."""
 
     def __init__(self, rules: list[Rule]):
-        self.rules = list(rules)
+        self.rules = tuple(rules)
         self._names: dict[str, Rule] = {}
+        self._memo: dict[frozenset, tuple[Rule, ...]] = {}
         self._by_label: dict[Label, list[int]] = {}
         self._always: list[int] = []
         for i, r in enumerate(self.rules):
@@ -126,11 +195,19 @@ class RuleSet:
             else:
                 self._always.append(i)
 
-    def candidates(self, G: Graph) -> list[Rule]:
-        idxs = list(self._always)
-        for v in G.roots:
-            idxs.extend(self._by_label.get(G.nodes[v], ()))
-        return [self.rules[i] for i in sorted(set(idxs))]
+    def candidates(self, G: Graph) -> tuple[Rule, ...]:
+        """The rules that can match G, in declared order; memoized under the
+        set of root labels, which is all the answer depends on."""
+        key = frozenset([G.nodes[v] for v in G.roots])
+        found = self._memo.get(key)
+        if found is None:
+            idxs = set(self._always)
+            for lab in key:
+                idxs.update(self._by_label.get(lab, ()))
+            found = self.rules if len(idxs) == len(self.rules) else \
+                tuple(self.rules[i] for i in sorted(idxs))
+            self._memo[share(key)] = found
+        return found
 
     def rule(self, name: str) -> Rule:
         return self._names[name]
@@ -159,7 +236,8 @@ def apply_ruleset(G: Graph, rules, in_place: bool = False) -> Outcome:
     total = 0
     chosen = None
     for r in rules.candidates(G):
-        ok = [m for m in match_all(r.left, G).matches if dangling_ok(m, r, G)]
+        ok = [m for m in match_all(r.left, G, r.plan()).matches
+              if dangling_ok(m, r, G)]
         total += len(ok)
         if ok and chosen is None:
             chosen = (r, ok[0])

@@ -1,4 +1,5 @@
-"""Morphism checks, edge enumerations, and matching vs the brute-force oracle."""
+"""Morphism checks, edge enumerations, search plans, and matching vs the
+brute-force oracle."""
 
 import random
 
@@ -9,11 +10,10 @@ from minigp.matching import (
     MatchResult,
     NotFastRule,
     PartialMorphism,
+    SearchPlan,
     check_morphism,
+    compile_plan,
     edge_enumerations,
-    extend,
-    extend_edge,
-    extend_node,
     match_all,
     match_bruteforce,
 )
@@ -79,31 +79,45 @@ class TestCheckMorphism:
 
 
 class TestExtend:
+    """Single extension steps of the search, on tiny left/host pairs."""
+
     def test_root_seed(self):
         L, G = two_node_graphs()
-        h = extend_node(PartialMorphism(), L, G, 0, 0)
-        assert h is not None and h.node_map == {0: 0}
+        L.remove_edge(0)
+        L.remove_node(1)
+        res = match_all(L, G)
+        assert [h.node_map for h in res.matches] == [{0: 0}]
+        assert res.extensions == 1
 
     def test_conflicting_source_image(self):
         L, G = two_node_graphs()
         G2 = G.copy()
         z = G2.add_node(Label(1), root=True)
         f2 = G2.add_edge(z, 1, Label(None, "red"))
-        h = PartialMorphism({0: 0})
-        assert extend_edge(h, L, G2, 0, f2) is None
+        res = match_all(L, G2)
+        # f2 leaves z, so it is only ever paired with the root seeded at z.
+        assert sorted((h.node_map[0], h.edge_map[0]) for h in res.matches) \
+            == [(0, 0), (z, f2)]
 
     def test_edge_extension_adds_endpoints(self):
         L, G = two_node_graphs()
-        h = PartialMorphism({0: 0})
-        f = extend_edge(h, L, G, 0, 0)
-        assert f is not None
-        assert len(f.node_map) == 2 and f.node_map[1] == 1
-        assert f.edge_map == {0: 0}
+        assert match_all(L, G).matches == [PartialMorphism({0: 0, 1: 1},
+                                                           {0: 0})]
 
     def test_extend_rejects_item_in_domain(self):
-        L, G = two_node_graphs()
-        h = PartialMorphism({0: 0})
-        assert extend_node(h, L, G, 0, 0) is None
+        L = Graph()
+        a = L.add_node(Label(1), root=True)
+        b = L.add_node(Label(1), root=True)
+        L.add_edge(a, b)
+        G = Graph()
+        x = G.add_node(Label(1), root=True)
+        y = G.add_node(Label(1), root=True)
+        G.add_edge(x, y)
+        # b is reached through a's enumeration, so it is never seeded.
+        assert [st[0] for st in compile_plan(L).steps] == [-1, a]
+        res = match_all(L, G)
+        assert [h.node_map for h in res.matches] == [{a: x, b: y}]
+        assert res.extensions == 3
 
     def test_loop_edge_requires_loop_image(self):
         L = Graph()
@@ -113,16 +127,48 @@ class TestExtend:
         x = G.add_node(Label(0), root=True)
         y = G.add_node(Label(0))
         f = G.add_edge(x, y)
-        h = PartialMorphism({0: 0})
-        assert extend_edge(h, L, G, 0, f) is None
+        res = match_all(L, G)
+        assert res.matches == [] and res.extensions == 2
 
-    def test_dispatcher(self):
+    def test_edge_target_reflects_roots(self):
         L, G = two_node_graphs()
-        assert extend(PartialMorphism(), L, G, 0, 0, "node") is not None
-        h = PartialMorphism({0: 0})
-        assert extend(h, L, G, 0, 0, "edge") is not None
-        with pytest.raises(ValueError):
-            extend(h, L, G, 0, 0, "face")
+        G.set_root(1)
+        assert match_all(L, G).matches == []
+        L.set_root(1)
+        assert match_all(L, G).matches == [PartialMorphism({0: 0, 1: 1},
+                                                           {0: 0})]
+
+
+class TestCompilePlan:
+    def test_two_roots_shared_reach(self):
+        L = Graph()
+        r1 = L.add_node(Label(0), root=True)
+        r2 = L.add_node(Label(1), root=True)
+        x = L.add_node(Label(2))
+        y = L.add_node(Label(3))
+        e1 = L.add_edge(r1, x, Label(4))
+        e2 = L.add_edge(x, y, Label(5))
+        e3 = L.add_edge(r2, x, Label(6))
+        assert compile_plan(L) == SearchPlan(
+            steps=((-1, None, -1, Label(0), True),
+                   (0, Label(4), -1, Label(2), False),
+                   (1, Label(5), -1, Label(3), False),
+                   (-1, None, -1, Label(1), True),
+                   (3, Label(6), 1, None, False)),
+            nodes=(r1, x, y, r2), edges=(e1, e2, e3))
+
+    def test_given_plan_is_used(self):
+        L, G = two_node_graphs()
+        other = Graph()
+        other.add_node(Label(9), root=True)
+        assert match_all(other, G, compile_plan(L)).matches == \
+            match_all(L, G).matches
+
+    def test_not_fast_raises(self):
+        L = Graph()
+        L.add_node(Label(0))
+        with pytest.raises(NotFastRule):
+            compile_plan(L)
 
 
 class TestEdgeEnumerations:
