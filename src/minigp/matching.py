@@ -96,8 +96,9 @@ def edge_enumerations(L: Graph) -> dict[int, list[int]]:
     return enums
 
 
-# Generated rule libraries repeat a few distinct steps thousands of times,
-# so compiled pieces are kept once each, here.
+# Compiled pieces are immutable, and a generated library repeats a few of
+# them thousands of times (the filler machine's 2,656 rules hold 132
+# distinct search steps), so each distinct piece is stored once.
 _SHARED: dict = {}
 
 
@@ -119,7 +120,7 @@ class SearchPlan(NamedTuple):
     edges give the left-side id held by each slot.
     """
 
-    steps: tuple[tuple[int, Label, int, Optional[Label], bool], ...]
+    steps: tuple[tuple[int, Optional[Label], int, Optional[Label], bool], ...]
     nodes: tuple[int, ...]
     edges: tuple[int, ...]
 

@@ -116,19 +116,10 @@ class Rule:
         return self._script
 
     def is_static_noop(self) -> bool:
-        """True iff applying the rule can never change any host graph:
-        no edges on either side, nothing deleted or added, and interface
-        labels and root statuses identical across the two sides."""
+        """True iff applying the rule can never change any host graph: its
+        application script deletes, adds, relabels and re-roots nothing."""
         if self._noop is None:
-            r = self
-            self._noop = (
-                not r.left.edges and not r.right.edges
-                and set(r.left.nodes) == set(r.interface)
-                and set(r.right.nodes) == set(r.interface.values())
-                and all(r.left.nodes[lv] == r.right.nodes[rv]
-                        and (lv in r.left.roots) == (rv in r.right.roots)
-                        for lv, rv in r.interface.items())
-            )
+            self._noop = not any(self.script())
         return self._noop
 
 

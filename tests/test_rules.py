@@ -17,7 +17,8 @@ from minigp.rules import (
     parse_rules,
     rules_to_text,
 )
-from util import apply_reference, dangling_ok_reference, random_rule_and_host
+from util import (apply_reference, dangling_ok_reference,
+                  is_static_noop_reference, random_rule_and_host)
 
 
 def single(g):
@@ -207,12 +208,15 @@ class TestApply:
 
 class TestApplyOracle:
     def test_agrees_with_reference_on_random_triples(self):
-        """Dangling check and application equal the graph-walking reference
-        on random (fast rule, host, match) triples, ids included."""
+        """Dangling check, application and the static no-op test equal the
+        graph-walking references on random (fast rule, host, match)
+        triples, ids included."""
         rng = random.Random(23)
-        triples = dangling = 0
+        triples = dangling = noops = 0
         while triples < 600:
             r, G = random_rule_and_host(rng)
+            assert r.is_static_noop() == is_static_noop_reference(r)
+            noops += r.is_static_noop()
             for h in match_all(r.left, G).matches:
                 triples += 1
                 ok = dangling_ok_reference(h, r, G)
@@ -227,7 +231,7 @@ class TestApplyOracle:
                     assert to_text(H) == to_text(want)
                     assert (H.next_node_id, H.next_edge_id) == \
                         (want.next_node_id, want.next_edge_id)
-        assert 50 <= dangling <= triples - 300
+        assert 50 <= dangling <= triples - 300 and noops >= 5
 
 
 class TestRuleSet:

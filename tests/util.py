@@ -149,3 +149,14 @@ def apply_reference(G, r, h, in_place=False):
     for rv in r.right.roots:
         H.roots.add(node_map[rv])
     return H
+
+
+def is_static_noop_reference(r):
+    """No edges on either side, nothing deleted or added, and interface
+    labels and root statuses identical across the two sides."""
+    return (not r.left.edges and not r.right.edges
+            and set(r.left.nodes) == set(r.interface)
+            and set(r.right.nodes) == set(r.interface.values())
+            and all(r.left.nodes[lv] == r.right.nodes[rv]
+                    and (lv in r.left.roots) == (rv in r.right.roots)
+                    for lv, rv in r.interface.items()))
