@@ -321,9 +321,9 @@ def bench_matching(rule: Rule, host_sizes: Sequence[int], *, reps: int = 5,
     for single-node left-hand sides, where its cost is linear in the host.
     """
     rows = []
+    plan = rule.plan()
     for target in host_sizes:
         g = bench_host(target, input)
-        plan = rule.plan()
         found = match_all(rule.left, g, plan)
         seconds = _best_of(lambda: match_all(rule.left, g, plan), reps)
         brute_seconds = None
