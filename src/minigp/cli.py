@@ -20,7 +20,7 @@ from .compiler import gen_sim
 from .harness import (SimulationError, Trace, bench_matching,
                       lockstep_verify, measure, metrics_lines, metrics_table,
                       run_sim)
-from .lang import BudgetExceeded, NullFailureViolation
+from .lang import NullFailureViolation
 from .rules import rules_to_text
 from .turing import (ParseError, TMConfiguration, TMError, TuringMachine,
                      parse_tm, tm_run)
@@ -153,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="machine step budget (default 10000)")
         if run_flags:
             p.add_argument("--mode", choices=("semantic", "efficient"),
-                           default="semantic",
-                           help="interpreter mode (default semantic)")
+                           default="efficient",
+                           help="interpreter mode (default efficient)")
             p.add_argument("--trace", action="store_true",
                            help="stream decoded configurations per step")
             p.add_argument("--max-rule-calls", type=int, default=None,
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated input strings")
     p.add_argument("--max-steps", type=int, default=10_000)
     p.add_argument("--mode", choices=("semantic", "efficient"),
-                   default="semantic")
+                   default="efficient")
     p.set_defaults(func=_cmd_space)
     return parser
 
@@ -209,8 +209,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ParseError, graphs.ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (TMError, BudgetExceeded, NullFailureViolation,
-            SimulationError) as e:
+    except (TMError, NullFailureViolation, SimulationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -18,8 +18,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .compiler import gen_sim, initial_graph
 from .encoding import MalformedConfigGraph, dec, enc
 from .graphs import Graph, graph_space
-from .lang import (BudgetExceeded, Done, ExecStats, Interp, Loop,
-                   NullFailureViolation)
+from .lang import Done, ExecStats, Interp, Loop, NullFailureViolation
 from .matching import match_all, match_bruteforce
 from .rules import Rule
 from .turing import (TMConfiguration, TMError, TuringMachine,
@@ -112,8 +111,8 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
     decoded and compared against the stepped reference configuration; a
     completed restart must reproduce the initial configuration one
     capacity level up, after which the reference replays from the start.
-    Checking stops cleanly once max_steps steps have been compared.  The
-    in-place mode is the default because only it can detect a failing
+    Checking stops cleanly once max_steps steps have been compared.
+    Efficient mode is the default because only it can detect a failing
     subrun that mutated the graph.
     """
     sim = gen_sim(m)
@@ -128,7 +127,7 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
             report.errors.append(f"{where}: undecodable graph: {e}")
             raise _Abort() from None
 
-    def step_checked(g: Graph) -> None:
+    def check_step(g: Graph) -> None:
         nonlocal oracle
         got, got_k = decode(g, f"step {report.steps_checked + 1}")
         nxt = tm_step(m, oracle)
@@ -162,7 +161,7 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
 
     def hook(loop: Loop, g: Graph, stats: ExecStats) -> None:
         if loop is sim.simulate_loop:
-            step_checked(g)
+            check_step(g)
         elif loop is sim.outer_loop:
             restarted(g, stats)
 
@@ -186,7 +185,7 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
     except NullFailureViolation as e:
         report.null_failure_ok = False
         report.errors.append(f"null failure: {e}")
-    except (TMError, BudgetExceeded, MalformedConfigGraph) as e:
+    except (TMError, MalformedConfigGraph) as e:  # TMError has BudgetExceeded
         report.errors.append(f"{type(e).__name__}: {e}")
     report.unique_match_ok = interp.stats.match_multiplicity_max <= 1
     return report
@@ -200,9 +199,9 @@ def run_sim(m: TuringMachine, input: str, max_steps: int = 10_000, *,
     configuration and the final host graph.
 
     The reference machine runs alongside to supply tm_steps and
-    tape_squares_used.  Defaults to the in-place interpreter mode; the
-    test suite separately checks that both modes produce the same final
-    graph and rule-call count.
+    tape_squares_used.  Defaults to efficient mode; the test suite
+    separately checks that both modes produce the same final graph and
+    rule-call count.
     """
     final, tm_steps, squares = tm_run(m, input, max_steps)
     sim = gen_sim(m)

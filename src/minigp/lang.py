@@ -1,11 +1,12 @@
 """Programs built from rule-set calls: parser, procedure inlining, and a
-small-step interpreter.
+recursive evaluator.
 
 Commands are rule-set calls, sequencing, if/try branching, as-long-as-
-possible loops (`!`), grouping, and break.  Conditions and loop bodies are
-critical subprograms: semantic mode snapshots the graph before entering
-them, efficient mode runs in place and insists the snapshot would have been
-pointless (no mutation on any path whose result gets discarded).
+possible loops (`!`), grouping, and break.  The evaluator rewrites the host
+graph in place.  Conditions and loop bodies are critical subprograms, whose
+result a construct may discard: semantic mode runs them on a copy of the
+graph, efficient mode runs them in place and insists the copy would have
+been pointless (no mutation on any path whose result gets discarded).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .graphs import Graph, graph_space
 from .rules import Rule, RuleSet, apply_ruleset
+from .turing import BudgetExceeded
 
 
 class ParseError(ValueError):
@@ -32,10 +34,6 @@ class RecursiveProcedure(ParseError):
 
 
 class BreakOutsideLoop(ParseError):
-    pass
-
-
-class BudgetExceeded(RuntimeError):
     pass
 
 
@@ -90,12 +88,6 @@ class Program:
 
 
 @dataclass(frozen=True)
-class Running:
-    prog: tuple[Com, ...]
-    graph: Graph
-
-
-@dataclass(frozen=True)
 class Done:
     graph: Graph
 
@@ -105,14 +97,10 @@ class Fail:
     pass
 
 
-ExecConfiguration = Union[Running, Done, Fail]
+ExecConfiguration = Union[Done, Fail]
 
-
-def is_terminal(cfg: ExecConfiguration) -> bool:
-    """Done, Fail, or a bare break (a loop body that just left its loop)."""
-    if isinstance(cfg, (Done, Fail)):
-        return True
-    return len(cfg.prog) == 1 and isinstance(cfg.prog[0], Break)
+# Statuses of a command run by the evaluator.
+_OK, _FAIL, _BREAK = "ok", "fail", "break"
 
 
 @dataclass
@@ -124,22 +112,6 @@ class ExecStats:
     peak_nodes: int = 0
     match_multiplicity_max: int = 0
     rule_applications: Counter = field(default_factory=Counter)
-
-
-def _flatten(com: Com) -> tuple[Com, ...]:
-    if isinstance(com, Seq):
-        out: list[Com] = []
-        for p in com.parts:
-            out.extend(_flatten(p))
-        return tuple(out)
-    return (com,)
-
-
-def _flatten_many(coms: Sequence[Com]) -> tuple[Com, ...]:
-    out: list[Com] = []
-    for c in coms:
-        out.extend(_flatten(c))
-    return tuple(out)
 
 
 _KEYWORDS = frozenset({"if", "then", "else", "try", "break"})
@@ -338,12 +310,14 @@ def parse_program(text: str, library: Mapping[str, object], entry: str = "Main")
 
 
 class Interp:
-    """Small-step executor over configurations ⟨program rest, graph⟩.
+    """Recursive evaluator over the command AST.
 
-    One step resolves the leading command: a rule-set call applies or fails,
-    branching runs its condition to a terminal outcome, a loop runs one whole
-    body iteration.  `loop_hook(loop, graph, stats)` fires after each
-    completed (non-breaking, non-failing) iteration.
+    Both modes rewrite the host in place.  They differ only in critical
+    subprograms, the conditions and loop bodies whose result a construct
+    may discard: semantic mode runs them on a copy, efficient mode on the
+    graph itself and insists that a discarded run did not mutate.
+    `loop_hook(loop, graph, stats)` fires after each completed
+    (non-breaking, non-failing) iteration.
     """
 
     def __init__(
@@ -363,95 +337,82 @@ class Interp:
         self.stats = ExecStats()
 
     def run(self, program: Union[Program, Com, Sequence[Com]], g0: Graph) -> ExecConfiguration:
-        """Step to a terminal configuration.  Efficient mode mutates g0."""
+        """Run to a terminal configuration.  Both modes rewrite g0; the
+        final graph is g0 itself unless semantic mode kept a copy made
+        for a condition or loop body."""
         if isinstance(program, Program):
-            coms: Sequence[Com] = program.main
+            coms = program.main
         elif isinstance(program, Com):
             coms = (program,)
         else:
             coms = tuple(program)
         self._note(g0)
-        flat = _flatten_many(coms)
-        cfg: ExecConfiguration = Running(flat, g0) if flat else Done(g0)
-        while not is_terminal(cfg):
-            cfg = self.step(cfg)
-        if isinstance(cfg, Running):
+        status, G = self._exec(Seq(coms), g0)
+        if status is _BREAK:
             raise RuntimeError("break escaped the program")
-        return cfg
+        return Done(G) if status is _OK else Fail()
 
-    def step(self, cfg: ExecConfiguration) -> ExecConfiguration:
-        if not isinstance(cfg, Running) or is_terminal(cfg):
-            raise ValueError("step needs a non-terminal Running configuration")
-        com, rest, G = cfg.prog[0], cfg.prog[1:], cfg.graph
-        if isinstance(com, Break):
-            return Running((com,), G)
-        if isinstance(com, Seq):
-            return Running(_flatten(com) + rest, G)
+    def _exec(self, com: Com, G: Graph) -> tuple[str, Graph]:
+        """Run com on G; returns the status (ok, fail or break) and the
+        graph the program continues with."""
         if isinstance(com, RuleCall):
-            out = self._call(com, G)
-            if not out.applied:
-                return Fail()
-            return Running(rest, out.graph) if rest else Done(out.graph)
-        if isinstance(com, If):
-            ok, _ = self._condition(com.cond, G, keep=False)
-            branch = com.then if ok else com.els
-            return Running(_flatten(branch) + rest, G)
-        if isinstance(com, Try):
-            ok, H = self._condition(com.cond, G, keep=True)
-            branch, g = (com.then, H) if ok else (com.els, G)
-            return Running(_flatten(branch) + rest, g)
+            return (_OK if self._call(com, G) else _FAIL), G
+        if isinstance(com, Seq):
+            for part in com.parts:
+                status, G = self._exec(part, G)
+                if status is not _OK:
+                    return status, G
+            return _OK, G
         if isinstance(com, Loop):
-            t = self._iteration(com.body, G)
-            if isinstance(t, Done):
+            while True:
+                status, H = self._critical(com.body, G, com)
+                if status is _FAIL:
+                    return _OK, G
+                if status is _BREAK:
+                    return _OK, H
                 if self.loop_hook is not None:
-                    self.loop_hook(com, t.graph, self.stats)
-                return Running(cfg.prog, t.graph)
-            if isinstance(t, Fail):
-                return Running(rest, G) if rest else Done(G)
-            return Running(rest, t.graph) if rest else Done(t.graph)
-        raise TypeError(f"cannot step {com!r}")
+                    self.loop_hook(com, H, self.stats)
+                G = H
+        if isinstance(com, (If, Try)):
+            status, H = self._critical(com.cond, G, com)
+            return self._exec(com.then, H) if status is _OK else self._exec(com.els, G)
+        if isinstance(com, Break):
+            return _BREAK, G
+        raise TypeError(f"cannot run {com!r}")
 
-    def _subrun(self, com: Com, g: Graph) -> ExecConfiguration:
-        cfg: ExecConfiguration = Running(_flatten(com), g)
-        while not is_terminal(cfg):
-            cfg = self.step(cfg)
-        return cfg
-
-    def _condition(self, com: Com, G: Graph, keep: bool) -> tuple[bool, Optional[Graph]]:
+    def _critical(self, com: Com, G: Graph, parent: Com) -> tuple[str, Graph]:
+        """Run the condition or loop body com of parent.  Returns the
+        status and the graph to continue with: the run's graph where parent
+        keeps it (a successful try or loop body, or a break), else G."""
         before = self.stats.mutations
-        t = self._subrun(com, G.copy() if self.mode == "semantic" else G)
-        if isinstance(t, Running):
+        status, H = self._exec(com, G.copy() if self.mode == "semantic" else G)
+        loop = isinstance(parent, Loop)
+        if status is _BREAK and not loop:
             raise RuntimeError("break escaped a condition")
-        ok = isinstance(t, Done)
+        if status is not _FAIL and not isinstance(parent, If):
+            return status, H
         if self.mode == "efficient" and self.stats.mutations != before:
-            if not ok:
-                raise NullFailureViolation("failing condition mutated the graph")
-            if not keep:
-                raise NullFailureViolation("if-condition mutated the graph it discards")
-        return ok, (t.graph if ok else None)
+            raise NullFailureViolation(
+                "failing loop body mutated the graph" if loop else
+                "failing condition mutated the graph" if status is _FAIL else
+                "if-condition mutated the graph it discards")
+        return status, G
 
-    def _iteration(self, body: Com, G: Graph) -> ExecConfiguration:
-        before = self.stats.mutations
-        t = self._subrun(body, G.copy() if self.mode == "semantic" else G)
-        if isinstance(t, Fail) and self.mode == "efficient" and self.stats.mutations != before:
-            raise NullFailureViolation("failing loop body mutated the graph")
-        return t
-
-    def _call(self, com: RuleCall, G: Graph):
+    def _call(self, com: RuleCall, G: Graph) -> bool:
         st = self.stats
         if self.max_rule_calls is not None and st.rule_calls >= self.max_rule_calls:
             raise BudgetExceeded(f"rule-call budget {self.max_rule_calls} exhausted")
         st.rule_calls += 1
-        out = apply_ruleset(G, com.rules, in_place=(self.mode == "efficient"))
+        out = apply_ruleset(G, com.rules)
         st.match_multiplicity_max = max(st.match_multiplicity_max, out.total_matches)
         if out.applied:
             st.rule_applications[out.rule_name] += 1
             if not com.rules.rule(out.rule_name).is_static_noop():
                 st.mutations += 1
-            self._note(out.graph)
+            self._note(G)
             if self.apply_hook is not None:
-                self.apply_hook(out.rule_name, out.graph)
-        return out
+                self.apply_hook(out.rule_name, G)
+        return out.applied
 
     def _note(self, g: Graph) -> None:
         st = self.stats

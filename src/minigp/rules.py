@@ -137,31 +137,30 @@ def dangling_ok(h: PartialMorphism, r: Rule, G: Graph) -> bool:
     return True
 
 
-def apply(G: Graph, r: Rule, h: PartialMorphism, in_place: bool = False) -> Graph:
-    """Apply r at the total match h by replaying its script.  Preserved
-    items keep their ids; new nodes and all right-side edges get fresh ids
-    in ascending rule-id order."""
+def apply(G: Graph, r: Rule, h: PartialMorphism) -> Graph:
+    """Apply r at the total match h by replaying its script, rewriting G
+    in place; returns G.  Preserved items keep their ids; new nodes and all
+    right-side edges get fresh ids in ascending rule-id order."""
     s = r.script()
     if s.nodes and not dangling_ok(h, r, G):
         raise DanglingViolation(f"rule {r.name} at {h.node_map}")
-    H = G if in_place else G.copy()
     nm, em = h.node_map, h.edge_map
     for e in s.edges:
-        H.remove_edge(em[e])
+        G.remove_edge(em[e])
     for lv in s.nodes:
-        H.remove_node(nm[lv])
+        G.remove_node(nm[lv])
     for lv, lab in s.relabel:
-        H.relabel_node(nm[lv], lab)
+        G.relabel_node(nm[lv], lab)
     if s.add or s.wire or s.roots:
         img = [nm[lv] for lv in s.kept]
-        img += [H.add_node(lab) for lab in s.add]
+        img += [G.add_node(lab) for lab in s.add]
         for a, b, lab in s.wire:
-            H.add_edge(img[a], img[b], lab)
+            G.add_edge(img[a], img[b], lab)
         for i in s.roots:
-            H.roots.add(img[i])
+            G.roots.add(img[i])
     for lv in s.unroot:
-        H.roots.discard(nm[lv])
-    return H
+        G.roots.discard(nm[lv])
+    return G
 
 
 class RuleSet:
@@ -212,16 +211,16 @@ class RuleSet:
 
 class Outcome(NamedTuple):
     applied: bool
-    graph: Graph
     rule_name: Optional[str]
     match: Optional[PartialMorphism]
     total_matches: int
 
 
-def apply_ruleset(G: Graph, rules, in_place: bool = False) -> Outcome:
+def apply_ruleset(G: Graph, rules) -> Outcome:
     """Scan rules in declared order and apply the first match of the first
-    rule that has one satisfying the dangling condition.  The total number
-    of applicable matches across the whole set is reported either way."""
+    rule that has one satisfying the dangling condition, rewriting G in
+    place.  The total number of applicable matches across the whole set is
+    reported either way."""
     if not isinstance(rules, RuleSet):
         rules = RuleSet(list(rules))
     total = 0
@@ -233,10 +232,10 @@ def apply_ruleset(G: Graph, rules, in_place: bool = False) -> Outcome:
         if ok and chosen is None:
             chosen = (r, ok[0])
     if chosen is None:
-        return Outcome(False, G, None, None, total)
+        return Outcome(False, None, None, total)
     r, m = chosen
-    H = apply(G, r, m, in_place=in_place)
-    return Outcome(True, H, r.name, m, total)
+    apply(G, r, m)
+    return Outcome(True, r.name, m, total)
 
 
 def rules_to_text(rules: list[Rule]) -> str:

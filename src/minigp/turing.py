@@ -36,7 +36,8 @@ class InputOverflow(TMError):
 
 
 class BudgetExceeded(TMError):
-    pass
+    """A run used up its budget: machine steps in `tm_run`, rule calls in
+    the graph-program interpreter (`minigp.lang` re-exports this class)."""
 
 
 @dataclass(frozen=True)

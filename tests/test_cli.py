@@ -78,6 +78,23 @@ class TestRunAndExec:
         assert got == final
         assert k == 0
 
+    @pytest.mark.parametrize("argv", [("verify", "--input", "0"),
+                                      ("run", "--input", "0"),
+                                      ("space", "--inputs", "0")])
+    def test_mode_defaults_to_efficient(self, capsys, monkeypatch, argv):
+        modes = []
+        init = Interp.__init__
+
+        def spy(self, **kwargs):
+            modes.append(kwargs.get("mode"))
+            init(self, **kwargs)
+
+        monkeypatch.setattr(Interp, "__init__", spy)
+        code, _, _ = run_cli(capsys, argv[0], f"{FIXTURES}/stamp.tm",
+                             *argv[1:])
+        assert code == 0
+        assert modes == ["efficient"]
+
     def test_semantic_mode_flag(self, capsys):
         code, out, _ = run_cli(capsys, "run", f"{FIXTURES}/empty.tm",
                                "--input", "1", "--mode", "semantic")

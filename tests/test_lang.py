@@ -1,7 +1,10 @@
-"""Parser and interpreter checks: grammar shapes, inlining, and one test per
-inference rule of the step relation."""
+"""Parser and interpreter checks: grammar shapes, inlining, one test per
+inference rule of the step relation, and random programs on which the
+evaluator must agree with that relation."""
 
 from __future__ import annotations
+
+from random import Random
 
 import pytest
 
@@ -19,15 +22,14 @@ from minigp.lang import (
     ParseError,
     RecursiveProcedure,
     RuleCall,
-    Running,
     Seq,
     Try,
     UnknownRule,
-    is_terminal,
     parse_program,
     run_program,
 )
 from minigp.rules import Rule
+from util import Running, StepInterp, is_terminal
 
 
 def node_rule(name, before, after, extra=0):
@@ -179,7 +181,7 @@ class TestParse:
 
 def step_once(text, g, mode="semantic"):
     p = parse(text)
-    interp = Interp(mode=mode)
+    interp = StepInterp(mode=mode)
     return interp, interp.step(Running(p.main, g))
 
 
@@ -196,7 +198,7 @@ class TestStep:
 
     def test_seq_advances(self):
         p = parse("Main = a; b")
-        interp = Interp()
+        interp = StepInterp()
         cfg = interp.step(Running(p.main, host()))
         assert isinstance(cfg, Running)
         assert cfg.prog == (p.main[1],)
@@ -233,7 +235,7 @@ class TestStep:
 
     def test_loop_iteration_continues(self):
         p = parse("Main = (a; back)!")
-        interp = Interp()
+        interp = StepInterp()
         start = Running(p.main, host())
         cfg = interp.step(start)
         assert isinstance(cfg, Running)
@@ -256,7 +258,7 @@ class TestStep:
     def test_break_discards_continuation(self):
         p = parse("Main = (break; a; b)!")
         (loop,) = p.main
-        interp = Interp()
+        interp = StepInterp()
         body = loop.body
         cfg = interp.step(Running((body.parts), host()))
         assert isinstance(cfg, Running)
@@ -264,7 +266,7 @@ class TestStep:
         assert is_terminal(cfg)
 
     def test_step_rejects_terminals(self):
-        interp = Interp()
+        interp = StepInterp()
         with pytest.raises(ValueError):
             interp.step(Done(host()))
         with pytest.raises(ValueError):
@@ -401,3 +403,104 @@ class TestModes:
         cfg, _ = run_program(parse("Main = (grow; grow; never)!"), g)
         assert cfg.graph is g
         assert to_text(g) == before
+
+
+class TestBreakEscape:
+    """The parser rejects these placements; hand-built ASTs still reach run."""
+
+    @pytest.mark.parametrize("mode", ["semantic", "efficient"])
+    def test_break_escaping_the_program(self, mode):
+        (call,) = parse("Main = a").main
+        for prog in ((Break(),), Seq((call, Break()))):
+            with pytest.raises(RuntimeError, match="escaped the program"):
+                Interp(mode=mode).run(prog, host())
+
+    @pytest.mark.parametrize("mode", ["semantic", "efficient"])
+    @pytest.mark.parametrize("construct", [If, Try])
+    def test_break_escaping_a_condition(self, mode, construct):
+        a, never = parse("Main = a; never").main
+        cond = construct(Seq((a, Break())), a, never)
+        for prog in (cond, Loop(cond)):
+            with pytest.raises(RuntimeError, match="escaped a condition"):
+                Interp(mode=mode).run(prog, host())
+
+
+NAMES = sorted(LIB) + ["skip"]
+
+
+def random_command(rng, depth, in_loop):
+    """Program text for one random command.  Break appears only where the
+    parser allows it: in a loop body, outside any condition."""
+    kinds = ["call"] * 3 + (["break"] if in_loop else [])
+    if depth > 0:
+        kinds += ["seq", "if", "try", "loop"]
+    kind = rng.choice(kinds)
+    if kind == "call":
+        names = rng.sample(NAMES, rng.randint(1, 2))
+        return names[0] if len(names) == 1 else "{" + ", ".join(names) + "}"
+    if kind == "break":
+        return "break"
+
+    def sub(loop=in_loop):
+        return "(" + random_command(rng, depth - 1, loop) + ")"
+
+    if kind == "seq":
+        return "(" + "; ".join(sub() for _ in range(rng.randint(2, 3))) + ")"
+    if kind == "loop":
+        return sub(loop=True) + "!"
+    text = f"{kind} {sub(loop=False)}"
+    if kind == "if" or rng.random() < 0.7:
+        text += f" then {sub()}"
+    if rng.random() < 0.7:
+        text += f" else {sub()}"
+    return text
+
+
+def random_host(rng):
+    g = Graph()
+    for _ in range(rng.randint(1, 2)):
+        g.add_node(Label(rng.randint(0, 3)), root=True)
+    for _ in range(rng.randint(0, 2)):
+        g.add_node(Label(7))
+    return g
+
+
+def observe(interp_class, mode, prog, g):
+    """Outcome, counters and loop_hook calls of one run on a copy of g."""
+    hooks = []
+    interp = interp_class(
+        mode=mode, max_rule_calls=60,
+        loop_hook=lambda loop, h, st: hooks.append(
+            (id(loop), to_text(h), st.rule_calls, st.mutations)))
+    try:
+        cfg = interp.run(prog, g.copy())
+        end = ("Done", to_text(cfg.graph)) if isinstance(cfg, Done) \
+            else ("Fail",)
+    except (BudgetExceeded, NullFailureViolation) as e:
+        end = (type(e).__name__, str(e))
+    st = interp.stats
+    return (end, st.rule_calls, st.mutations, st.peak_graph_space,
+            st.peak_nodes, st.match_multiplicity_max, st.rule_applications,
+            hooks)
+
+
+def test_run_agrees_with_step_on_random_programs():
+    """Interp.run and the small-step reference agree in both modes, and the
+    modes agree unless efficient mode raises NullFailureViolation."""
+    rng = Random(20261018)
+    ends = []
+    for _ in range(400):
+        prog = parse("Main = " + random_command(rng, rng.randint(1, 4), False))
+        g = random_host(rng)
+        got = {}
+        for mode in ("semantic", "efficient"):
+            got[mode] = observe(Interp, mode, prog, g)
+            assert got[mode] == observe(StepInterp, mode, prog, g), mode
+        sem, eff = got["semantic"], got["efficient"]
+        assert sem[0][0] != "NullFailureViolation"
+        if eff[0][0] != "NullFailureViolation":
+            assert sem == eff
+        ends.append((eff[0][0], bool(eff[-1])))
+    kinds = {end for end, _ in ends}
+    assert kinds == {"Done", "Fail", "BudgetExceeded", "NullFailureViolation"}
+    assert sum(hooked for _, hooked in ends) >= 30

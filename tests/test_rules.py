@@ -118,13 +118,12 @@ class TestApply:
         assert H.nodes[x] == Label(6)
         assert H.nodes[y] == Label(1)
         assert H.edges[e] == (x, y, Label(None, "green"))
-        assert G.nodes[x] == Label(5)  # functional by default
 
     def test_in_place(self):
         r = relabel_rule("q2p", 5, 6)
         G = Graph()
         G.add_node(Label(5), root=True)
-        H = apply(G, r, single((r, G)), in_place=True)
+        H = apply(G, r, single((r, G)))
         assert H is G and G.nodes[0] == Label(6)
 
     def test_root_dropped_when_right_side_unroots(self):
@@ -227,10 +226,10 @@ class TestApplyOracle:
                         apply(G, r, h)
                     continue
                 want = apply_reference(G, r, h)
-                for H in (apply(G, r, h), apply(G.copy(), r, h, in_place=True)):
-                    assert to_text(H) == to_text(want)
-                    assert (H.next_node_id, H.next_edge_id) == \
-                        (want.next_node_id, want.next_edge_id)
+                H = apply(G.copy(), r, h)
+                assert to_text(H) == to_text(want)
+                assert (H.next_node_id, H.next_edge_id) == \
+                    (want.next_node_id, want.next_edge_id)
         assert 50 <= dangling <= triples - 300 and noops >= 5
 
 
@@ -239,14 +238,14 @@ class TestRuleSet:
         G = Graph()
         G.add_node(Label(0), root=True)
         out = apply_ruleset(G, [])
-        assert out == Outcome(False, G, None, None, 0)
+        assert out == Outcome(False, None, None, 0)
 
     def test_single_relabel(self):
         G = Graph()
         G.add_node(Label(0), root=True)
         out = apply_ruleset(G, [relabel_rule("a", 0, 1)])
         assert out.applied and out.rule_name == "a" and out.total_matches == 1
-        assert out.graph.nodes[0] == Label(1)
+        assert G.nodes[0] == Label(1)
 
     def test_declaration_order_wins(self):
         G = Graph()
@@ -271,12 +270,6 @@ class TestRuleSet:
         G.add_node(Label(4), root=True)
         bucketed = apply_ruleset(G, RuleSet(rs))
         assert bucketed.rule_name == "r4" and bucketed.total_matches == 1
-
-    def test_in_place_flag(self):
-        G = Graph()
-        G.add_node(Label(0), root=True)
-        out = apply_ruleset(G, [relabel_rule("a", 0, 1)], in_place=True)
-        assert out.graph is G
 
     def test_static_noop(self):
         skiplike = Rule("skip", Graph(), Graph(), {})

@@ -1,9 +1,14 @@
 """Shared test helpers: random graphs and rules, and the reference
 implementations the fast code is checked against."""
 
-from minigp.graphs import Graph, Label
+from dataclasses import dataclass
+
+from minigp.graphs import Graph, Label, graph_space
+from minigp.lang import (Break, BudgetExceeded, Com, Done, ExecStats, Fail,
+                         If, Loop, NullFailureViolation, Program, RuleCall,
+                         Seq, Try)
 from minigp.matching import NotFastRule, edge_enumerations
-from minigp.rules import DanglingViolation, Rule
+from minigp.rules import DanglingViolation, Rule, apply_ruleset
 
 FULL_ATOMS = [None, 0, 1, 2, "L", "R", "I"]
 SMALL_ATOMS = [None, 0, 1]
@@ -160,3 +165,141 @@ def is_static_noop_reference(r):
             and all(r.left.nodes[lv] == r.right.nodes[rv]
                     and (lv in r.left.roots) == (rv in r.right.roots)
                     for lv, rv in r.interface.items()))
+
+
+@dataclass(frozen=True)
+class Running:
+    prog: tuple
+    graph: Graph
+
+
+def is_terminal(cfg):
+    """Done, Fail, or a bare break (a loop body that just left its loop)."""
+    if isinstance(cfg, (Done, Fail)):
+        return True
+    return len(cfg.prog) == 1 and isinstance(cfg.prog[0], Break)
+
+
+def _flatten(com):
+    if isinstance(com, Seq):
+        return tuple(c for p in com.parts for c in _flatten(p))
+    return (com,)
+
+
+class StepInterp:
+    """The paper's small-step relation over configurations
+    <program rest, graph>: the reference `Interp.run` is checked against.
+
+    One step resolves the leading command: a rule-set call applies or
+    fails, branching runs its condition to a terminal outcome, a loop runs
+    one whole body iteration.  Semantic mode is purely functional: each
+    rule application rewrites a copy, and conditions and loop bodies run on
+    copies.  Efficient mode rewrites the graph in place and raises
+    NullFailureViolation where a discarded subprogram mutated.
+    `loop_hook(loop, graph, stats)` fires after each completed
+    (non-breaking, non-failing) iteration.
+    """
+
+    def __init__(self, *, mode="semantic", max_rule_calls=None,
+                 loop_hook=None):
+        self.mode = mode
+        self.max_rule_calls = max_rule_calls
+        self.loop_hook = loop_hook
+        self.stats = ExecStats()
+
+    def run(self, program, g0):
+        if isinstance(program, Program):
+            coms = program.main
+        elif isinstance(program, Com):
+            coms = (program,)
+        else:
+            coms = tuple(program)
+        self._note(g0)
+        flat = tuple(c for com in coms for c in _flatten(com))
+        cfg = Running(flat, g0) if flat else Done(g0)
+        while not is_terminal(cfg):
+            cfg = self.step(cfg)
+        if isinstance(cfg, Running):
+            raise RuntimeError("break escaped the program")
+        return cfg
+
+    def step(self, cfg):
+        if not isinstance(cfg, Running) or is_terminal(cfg):
+            raise ValueError("step needs a non-terminal Running configuration")
+        com, rest, G = cfg.prog[0], cfg.prog[1:], cfg.graph
+        if isinstance(com, Break):
+            return Running((com,), G)
+        if isinstance(com, Seq):
+            return Running(_flatten(com) + rest, G)
+        if isinstance(com, RuleCall):
+            H = self._call(com, G)
+            if H is None:
+                return Fail()
+            return Running(rest, H) if rest else Done(H)
+        if isinstance(com, If):
+            ok, _ = self._condition(com.cond, G, keep=False)
+            branch = com.then if ok else com.els
+            return Running(_flatten(branch) + rest, G)
+        if isinstance(com, Try):
+            ok, H = self._condition(com.cond, G, keep=True)
+            branch, g = (com.then, H) if ok else (com.els, G)
+            return Running(_flatten(branch) + rest, g)
+        if isinstance(com, Loop):
+            t = self._iteration(com.body, G)
+            if isinstance(t, Done):
+                if self.loop_hook is not None:
+                    self.loop_hook(com, t.graph, self.stats)
+                return Running(cfg.prog, t.graph)
+            if isinstance(t, Fail):
+                return Running(rest, G) if rest else Done(G)
+            return Running(rest, t.graph) if rest else Done(t.graph)
+        raise TypeError(f"cannot step {com!r}")
+
+    def _subrun(self, com, g):
+        cfg = Running(_flatten(com), g)
+        while not is_terminal(cfg):
+            cfg = self.step(cfg)
+        return cfg
+
+    def _condition(self, com, G, keep):
+        before = self.stats.mutations
+        t = self._subrun(com, G.copy() if self.mode == "semantic" else G)
+        if isinstance(t, Running):
+            raise RuntimeError("break escaped a condition")
+        ok = isinstance(t, Done)
+        if self.mode == "efficient" and self.stats.mutations != before:
+            if not ok:
+                raise NullFailureViolation("failing condition mutated the graph")
+            if not keep:
+                raise NullFailureViolation("if-condition mutated the graph it discards")
+        return ok, (t.graph if ok else None)
+
+    def _iteration(self, body, G):
+        before = self.stats.mutations
+        t = self._subrun(body, G.copy() if self.mode == "semantic" else G)
+        if isinstance(t, Fail) and self.mode == "efficient" \
+                and self.stats.mutations != before:
+            raise NullFailureViolation("failing loop body mutated the graph")
+        return t
+
+    def _call(self, com, G):
+        """The rewritten graph, or None if no rule of the set applies."""
+        st = self.stats
+        if self.max_rule_calls is not None and st.rule_calls >= self.max_rule_calls:
+            raise BudgetExceeded(f"rule-call budget {self.max_rule_calls} exhausted")
+        st.rule_calls += 1
+        H = G.copy() if self.mode == "semantic" else G
+        out = apply_ruleset(H, com.rules)
+        st.match_multiplicity_max = max(st.match_multiplicity_max, out.total_matches)
+        if not out.applied:
+            return None
+        st.rule_applications[out.rule_name] += 1
+        if not com.rules.rule(out.rule_name).is_static_noop():
+            st.mutations += 1
+        self._note(H)
+        return H
+
+    def _note(self, g):
+        st = self.stats
+        st.peak_graph_space = max(st.peak_graph_space, graph_space(g))
+        st.peak_nodes = max(st.peak_nodes, len(g.nodes))
