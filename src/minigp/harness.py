@@ -127,7 +127,7 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
             report.errors.append(f"{where}: undecodable graph: {e}")
             raise _Abort() from None
 
-    def check_step(g: Graph) -> None:
+    def step_checked(g: Graph) -> None:
         nonlocal oracle
         got, got_k = decode(g, f"step {report.steps_checked + 1}")
         nxt = tm_step(m, oracle)
@@ -161,7 +161,7 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
 
     def hook(loop: Loop, g: Graph, stats: ExecStats) -> None:
         if loop is sim.simulate_loop:
-            check_step(g)
+            step_checked(g)
         elif loop is sim.outer_loop:
             restarted(g, stats)
 

@@ -365,7 +365,8 @@ class Interp:
             return _OK, G
         if isinstance(com, Loop):
             while True:
-                status, H = self._critical(com.body, G, com)
+                status, H = self._critical(com.body, G, True,
+                                           "failing loop body mutated the graph")
                 if status is _FAIL:
                     return _OK, G
                 if status is _BREAK:
@@ -374,28 +375,28 @@ class Interp:
                     self.loop_hook(com, H, self.stats)
                 G = H
         if isinstance(com, (If, Try)):
-            status, H = self._critical(com.cond, G, com)
+            status, H = self._critical(com.cond, G, isinstance(com, Try),
+                                       "failing condition mutated the graph")
+            if status is _BREAK:
+                raise RuntimeError("break escaped a condition")
             return self._exec(com.then, H) if status is _OK else self._exec(com.els, G)
         if isinstance(com, Break):
             return _BREAK, G
         raise TypeError(f"cannot run {com!r}")
 
-    def _critical(self, com: Com, G: Graph, parent: Com) -> tuple[str, Graph]:
-        """Run the condition or loop body com of parent.  Returns the
-        status and the graph to continue with: the run's graph where parent
-        keeps it (a successful try or loop body, or a break), else G."""
+    def _critical(self, com: Com, G: Graph, keep: bool, failed: str) -> tuple[str, Graph]:
+        """Run com, a condition or loop body, on G.  Returns the status and
+        the graph to continue with: the run's graph after a break, or after
+        success if the construct keeps it, else G.  In efficient mode a
+        discarded run that mutated raises failed (after a failure) or the
+        if-condition message (after a discarded success)."""
         before = self.stats.mutations
         status, H = self._exec(com, G.copy() if self.mode == "semantic" else G)
-        loop = isinstance(parent, Loop)
-        if status is _BREAK and not loop:
-            raise RuntimeError("break escaped a condition")
-        if status is not _FAIL and not isinstance(parent, If):
+        if status is _BREAK or (status is _OK and keep):
             return status, H
         if self.mode == "efficient" and self.stats.mutations != before:
             raise NullFailureViolation(
-                "failing loop body mutated the graph" if loop else
-                "failing condition mutated the graph" if status is _FAIL else
-                "if-condition mutated the graph it discards")
+                failed if status is _FAIL else "if-condition mutated the graph it discards")
         return status, G
 
     def _call(self, com: RuleCall, G: Graph) -> bool:

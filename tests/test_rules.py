@@ -105,7 +105,7 @@ class TestApply:
         G = Graph()
         G.add_node(Label(3), root=True, nid=10)
         G.add_node(Label(4), nid=11)
-        H = apply(G, r, match_bruteforce(L, G)[0])
+        H = apply(G.copy(), r, match_bruteforce(L, G)[0])
         assert H == G
 
     def test_relabel_only_central(self):
@@ -168,7 +168,8 @@ class TestApply:
         x = G.add_node(Label(0), root=True)
         others = [G.add_node(Label(i)) for i in range(2, 6)]
         eids = [G.add_edge(a, b) for a, b in zip(others, others[1:])]
-        H = apply(G, r, single((r, G)))
+        H = apply(G.copy(), r, single((r, G)))
+        assert H.nodes[x] == Label(1)
         for nid in others:
             assert H.nodes[nid] == G.nodes[nid]
         for eid in eids:
@@ -190,7 +191,8 @@ class TestApply:
         x = G.add_node(Label(0), root=True)
         y = G.add_node(Label(1))
         G.add_edge(x, y, Label(None, "red"))
-        H = apply(G, r, single((r, G)))
+        H = apply(G.copy(), r, single((r, G)))
+        assert not isomorphic(H, G)
         comatches = match_bruteforce(inv.left, H)
         assert len(comatches) == 1
         back = apply(H, inv, comatches[0])
