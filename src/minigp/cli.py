@@ -18,8 +18,7 @@ from typing import Optional, Sequence
 from . import graphs
 from .compiler import gen_sim
 from .harness import (SimulationError, Trace, bench_matching,
-                      lockstep_verify, measure, metrics_lines, metrics_table,
-                      run_sim)
+                      lockstep_verify, metrics_lines, metrics_table, run_sim)
 from .lang import NullFailureViolation
 from .rules import rules_to_text
 from .turing import (ParseError, TMConfiguration, TMError, TuringMachine,
@@ -131,8 +130,8 @@ def _cmd_space(args: argparse.Namespace) -> int:
     m = _load(args.tm_file)
     rows = []
     for input in args.inputs.split(","):
-        rows.append((input, measure(m, _binary(input), args.max_steps,
-                                    mode=args.mode)))
+        rows.append((input, run_sim(m, _binary(input), args.max_steps,
+                                    mode=args.mode)[0]))
     print(metrics_table(rows), end="")
     return 0
 
@@ -206,7 +205,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (OSError, ParseError, graphs.ParseError, ValueError) as e:
+    except (OSError, ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (TMError, NullFailureViolation, SimulationError) as e:

@@ -23,7 +23,7 @@ EMPTY = Label(None)
 
 
 class ParseError(ValueError):
-    """Malformed graph text."""
+    """Malformed graph, rule or program text."""
 
 
 class Graph:
@@ -120,6 +120,17 @@ class Graph:
         g.next_node_id = self.next_node_id
         g.next_edge_id = self.next_edge_id
         return g
+
+    def restore(self, saved: Graph) -> None:
+        """Become saved, a copy taken earlier, in O(1) by adopting its
+        dicts, roots and id counters; saved must not be used afterwards."""
+        self.nodes = saved.nodes
+        self.edges = saved.edges
+        self.roots = saved.roots
+        self._out = saved._out
+        self._in = saved._in
+        self.next_node_id = saved.next_node_id
+        self.next_edge_id = saved.next_edge_id
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -1,11 +1,11 @@
-"""Lockstep verification, run measurement, and matching benchmarks.
+"""Lockstep verification, run metrics, and matching benchmarks.
 
 `lockstep_verify` replays a machine against its compiled simulator one
 simulated transition at a time, decoding the host graph after every
-completed step.  `measure` collects size and time counters from a full
-run, `compare_modes` checks that both interpreter modes agree, and
-`bench_matching` times root-driven matching on configuration-graph hosts
-of growing size.
+completed step.  `run_sim` runs the simulator to completion and collects
+size and time counters.  Both compile the machine and run its program once
+on one host graph through `_simulator`.  `bench_matching` times
+root-driven matching on configuration-graph hosts of growing size.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .compiler import gen_sim, initial_graph
 from .encoding import MalformedConfigGraph, dec, enc
 from .graphs import Graph, graph_space
-from .lang import Done, ExecStats, Interp, Loop, NullFailureViolation
+from .lang import (Done, ExecStats, Interp, Loop, NullFailureViolation,
+                   Program)
 from .matching import match_all, match_bruteforce
 from .rules import Rule
 from .turing import (TMConfiguration, TMError, TuringMachine,
@@ -101,6 +102,28 @@ class _Abort(Exception):
     """Stops the interpreter once the report is settled."""
 
 
+def _simulator(m: TuringMachine, input: str, mode: str,
+               max_rule_calls: Optional[int],
+               on_step: Callable[[Graph, ExecStats], None],
+               on_restart: Callable[[Graph], None]
+               ) -> tuple[Interp, Program, Graph]:
+    """Compile m; return an interpreter, the simulator program and the
+    initial host graph for input.  The interpreter calls on_step after each
+    simulated step, and counts a restart then calls on_restart after each
+    pass of the outer loop."""
+    sim = gen_sim(m)
+
+    def hook(loop: Loop, g: Graph, stats: ExecStats) -> None:
+        if loop is sim.simulate_loop:
+            on_step(g, stats)
+        elif loop is sim.outer_loop:
+            stats.restarts += 1
+            on_restart(g)
+
+    interp = Interp(mode=mode, max_rule_calls=max_rule_calls, loop_hook=hook)
+    return interp, sim.program, initial_graph(input, m.start)
+
+
 def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
                     mode: str = "efficient",
                     max_rule_calls: Optional[int] = None,
@@ -115,7 +138,6 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
     Efficient mode is the default because only it can detect a failing
     subrun that mutated the graph.
     """
-    sim = gen_sim(m)
     report = VerifyReport()
     oracle = initial_configuration(m, input)
     level = 0
@@ -127,7 +149,7 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
             report.errors.append(f"{where}: undecodable graph: {e}")
             raise _Abort() from None
 
-    def step_checked(g: Graph) -> None:
+    def step_checked(g: Graph, stats: ExecStats) -> None:
         nonlocal oracle
         got, got_k = decode(g, f"step {report.steps_checked + 1}")
         nxt = tm_step(m, oracle)
@@ -145,10 +167,8 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
         if report.steps_checked >= max_steps:
             raise _Abort()
 
-    def restarted(g: Graph, stats: ExecStats) -> None:
+    def restarted(g: Graph) -> None:
         nonlocal oracle, level
-        stats.restarts += 1
-        report.restarts += 1
         level += 1
         got, got_k = decode(g, f"restart to level {level}")
         fresh = initial_configuration(m, input)
@@ -159,17 +179,11 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
             raise _Abort()
         oracle = fresh
 
-    def hook(loop: Loop, g: Graph, stats: ExecStats) -> None:
-        if loop is sim.simulate_loop:
-            step_checked(g)
-        elif loop is sim.outer_loop:
-            restarted(g, stats)
-
-    interp = Interp(mode=mode, max_rule_calls=max_rule_calls, loop_hook=hook)
+    interp, program, g = _simulator(m, input, mode, max_rule_calls,
+                                    step_checked, restarted)
     try:
-        cfg = interp.run(sim.program, initial_graph(input, m.start))
-        if isinstance(cfg, Done):
-            got, got_k = decode(cfg.graph, "final graph")
+        if isinstance(interp.run(program, g), Done):
+            got, got_k = decode(g, "final graph")
             report.final_config = got
             if got != oracle or got_k != level:
                 report.first_divergence = (report.steps_checked, got, oracle)
@@ -187,6 +201,7 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
         report.errors.append(f"null failure: {e}")
     except (TMError, MalformedConfigGraph) as e:  # TMError has BudgetExceeded
         report.errors.append(f"{type(e).__name__}: {e}")
+    report.restarts = interp.stats.restarts
     report.unique_match_ok = interp.stats.match_multiplicity_max <= 1
     return report
 
@@ -204,24 +219,20 @@ def run_sim(m: TuringMachine, input: str, max_steps: int = 10_000, *,
     rule-call count.
     """
     final, tm_steps, squares = tm_run(m, input, max_steps)
-    sim = gen_sim(m)
     per_step: list[int] = []
     last_mark = [0]
 
-    def hook(loop: Loop, g: Graph, stats: ExecStats) -> None:
-        if loop is sim.simulate_loop:
-            per_step.append(stats.rule_calls - last_mark[0])
-            last_mark[0] = stats.rule_calls
-            if trace is not None:
-                trace(len(per_step), dec(g)[0])
-        elif loop is sim.outer_loop:
-            stats.restarts += 1
+    def count_step(g: Graph, stats: ExecStats) -> None:
+        per_step.append(stats.rule_calls - last_mark[0])
+        last_mark[0] = stats.rule_calls
+        if trace is not None:
+            trace(len(per_step), dec(g)[0])
 
-    interp = Interp(mode=mode, max_rule_calls=max_rule_calls, loop_hook=hook)
-    cfg = interp.run(sim.program, initial_graph(input, m.start))
-    if not isinstance(cfg, Done):
+    interp, program, g = _simulator(m, input, mode, max_rule_calls,
+                                    count_step, lambda g: None)
+    if not isinstance(interp.run(program, g), Done):
         raise SimulationError("simulator run failed")
-    got, k = dec(cfg.graph)
+    got, k = dec(g)
     if got != final:
         raise SimulationError("simulated final configuration diverged")
     st = interp.stats
@@ -242,42 +253,7 @@ def run_sim(m: TuringMachine, input: str, max_steps: int = 10_000, *,
         peak_nodes=st.peak_nodes,
         per_step_rule_calls=per_step,
     )
-    return metrics, got, cfg.graph
-
-
-def measure(m: TuringMachine, input: str, max_steps: int = 10_000, *,
-            mode: str = "efficient", max_rule_calls: Optional[int] = None,
-            trace: Optional[Trace] = None) -> Metrics:
-    """The counters of a full simulation run; see run_sim."""
-    metrics, _, _ = run_sim(m, input, max_steps, mode=mode,
-                            max_rule_calls=max_rule_calls, trace=trace)
-    return metrics
-
-
-class ModeAgreement(NamedTuple):
-    graphs_equal: bool
-    semantic_rule_calls: int
-    efficient_rule_calls: int
-
-    @property
-    def ok(self) -> bool:
-        return self.graphs_equal and \
-            self.semantic_rule_calls == self.efficient_rule_calls
-
-
-def compare_modes(m: TuringMachine, input: str, *,
-                  max_rule_calls: Optional[int] = None) -> ModeAgreement:
-    """Run both interpreter modes to completion and compare the outcomes."""
-    results = []
-    sim = gen_sim(m)
-    for mode in ("semantic", "efficient"):
-        interp = Interp(mode=mode, max_rule_calls=max_rule_calls)
-        cfg = interp.run(sim.program, initial_graph(input, m.start))
-        if not isinstance(cfg, Done):
-            raise SimulationError(f"simulator run failed in {mode} mode")
-        results.append((cfg.graph, interp.stats.rule_calls))
-    (g_sem, n_sem), (g_eff, n_eff) = results
-    return ModeAgreement(g_sem == g_eff, n_sem, n_eff)
+    return metrics, got, g
 
 
 class BenchRow(NamedTuple):

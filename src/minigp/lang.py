@@ -2,11 +2,12 @@
 recursive evaluator.
 
 Commands are rule-set calls, sequencing, if/try branching, as-long-as-
-possible loops (`!`), grouping, and break.  The evaluator rewrites the host
+possible loops (`!`), grouping, and break.  The evaluator rewrites one host
 graph in place.  Conditions and loop bodies are critical subprograms, whose
-result a construct may discard: semantic mode runs them on a copy of the
-graph, efficient mode runs them in place and insists the copy would have
-been pointless (no mutation on any path whose result gets discarded).
+result a construct may discard: semantic mode snapshots the host first and
+restores the snapshot into it when the result is discarded, efficient mode
+takes no snapshot and insists it would have been pointless (no mutation on
+any path whose result gets discarded).
 """
 
 from __future__ import annotations
@@ -16,13 +17,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .graphs import Graph, graph_space
+from .graphs import Graph, ParseError, graph_space
 from .rules import Rule, RuleSet, apply_ruleset
 from .turing import BudgetExceeded
-
-
-class ParseError(ValueError):
-    pass
 
 
 class UnknownRule(ParseError):
@@ -312,12 +309,12 @@ def parse_program(text: str, library: Mapping[str, object], entry: str = "Main")
 class Interp:
     """Recursive evaluator over the command AST.
 
-    Both modes rewrite the host in place.  They differ only in critical
-    subprograms, the conditions and loop bodies whose result a construct
-    may discard: semantic mode runs them on a copy, efficient mode on the
-    graph itself and insists that a discarded run did not mutate.
-    `loop_hook(loop, graph, stats)` fires after each completed
-    (non-breaking, non-failing) iteration.
+    Both modes rewrite the one host graph in place.  They differ only in
+    critical subprograms, the conditions and loop bodies whose result a
+    construct may discard: semantic mode snapshots the host before one and
+    restores the snapshot on discard, efficient mode insists that a
+    discarded run did not mutate.  `loop_hook(loop, graph, stats)` fires
+    after each completed (non-breaking, non-failing) iteration.
     """
 
     def __init__(
@@ -337,9 +334,8 @@ class Interp:
         self.stats = ExecStats()
 
     def run(self, program: Union[Program, Com, Sequence[Com]], g0: Graph) -> ExecConfiguration:
-        """Run to a terminal configuration.  Both modes rewrite g0; the
-        final graph is g0 itself unless semantic mode kept a copy made
-        for a condition or loop body."""
+        """Run to a terminal configuration, rewriting g0 in place; a Done
+        carries g0 itself."""
         if isinstance(program, Program):
             coms = program.main
         elif isinstance(program, Com):
@@ -347,57 +343,57 @@ class Interp:
         else:
             coms = tuple(program)
         self._note(g0)
-        status, G = self._exec(Seq(coms), g0)
+        status = self._exec(Seq(coms), g0)
         if status is _BREAK:
             raise RuntimeError("break escaped the program")
-        return Done(G) if status is _OK else Fail()
+        return Done(g0) if status is _OK else Fail()
 
-    def _exec(self, com: Com, G: Graph) -> tuple[str, Graph]:
-        """Run com on G; returns the status (ok, fail or break) and the
-        graph the program continues with."""
+    def _exec(self, com: Com, G: Graph) -> str:
+        """Run com on G; returns the status: ok, fail or break."""
         if isinstance(com, RuleCall):
-            return (_OK if self._call(com, G) else _FAIL), G
+            return _OK if self._call(com, G) else _FAIL
         if isinstance(com, Seq):
             for part in com.parts:
-                status, G = self._exec(part, G)
+                status = self._exec(part, G)
                 if status is not _OK:
-                    return status, G
-            return _OK, G
+                    return status
+            return _OK
         if isinstance(com, Loop):
             while True:
-                status, H = self._critical(com.body, G, True,
-                                           "failing loop body mutated the graph")
-                if status is _FAIL:
-                    return _OK, G
-                if status is _BREAK:
-                    return _OK, H
+                status = self._critical(com.body, G, True,
+                                        "failing loop body mutated the graph")
+                if status is not _OK:
+                    return _OK
                 if self.loop_hook is not None:
-                    self.loop_hook(com, H, self.stats)
-                G = H
+                    self.loop_hook(com, G, self.stats)
         if isinstance(com, (If, Try)):
-            status, H = self._critical(com.cond, G, isinstance(com, Try),
-                                       "failing condition mutated the graph")
+            status = self._critical(com.cond, G, isinstance(com, Try),
+                                    "failing condition mutated the graph")
             if status is _BREAK:
                 raise RuntimeError("break escaped a condition")
-            return self._exec(com.then, H) if status is _OK else self._exec(com.els, G)
+            return self._exec(com.then if status is _OK else com.els, G)
         if isinstance(com, Break):
-            return _BREAK, G
+            return _BREAK
         raise TypeError(f"cannot run {com!r}")
 
-    def _critical(self, com: Com, G: Graph, keep: bool, failed: str) -> tuple[str, Graph]:
-        """Run com, a condition or loop body, on G.  Returns the status and
-        the graph to continue with: the run's graph after a break, or after
-        success if the construct keeps it, else G.  In efficient mode a
-        discarded run that mutated raises failed (after a failure) or the
-        if-condition message (after a discarded success)."""
+    def _critical(self, com: Com, G: Graph, keep: bool, failed: str) -> str:
+        """Run com, a condition or loop body, on G and return its status.
+        G keeps the run's changes after a break, or after success if keep;
+        otherwise the run is discarded.  Semantic mode discards by restoring
+        a snapshot taken before the run; in efficient mode a discarded run
+        that mutated raises failed (after a failure) or the if-condition
+        message (after a success)."""
         before = self.stats.mutations
-        status, H = self._exec(com, G.copy() if self.mode == "semantic" else G)
+        saved = G.copy() if self.mode == "semantic" else None
+        status = self._exec(com, G)
         if status is _BREAK or (status is _OK and keep):
-            return status, H
-        if self.mode == "efficient" and self.stats.mutations != before:
+            return status
+        if saved is not None:
+            G.restore(saved)
+        elif self.stats.mutations != before:
             raise NullFailureViolation(
                 failed if status is _FAIL else "if-condition mutated the graph it discards")
-        return status, G
+        return status
 
     def _call(self, com: RuleCall, G: Graph) -> bool:
         st = self.stats
@@ -407,12 +403,12 @@ class Interp:
         out = apply_ruleset(G, com.rules)
         st.match_multiplicity_max = max(st.match_multiplicity_max, out.total_matches)
         if out.applied:
-            st.rule_applications[out.rule_name] += 1
-            if not com.rules.rule(out.rule_name).is_static_noop():
+            st.rule_applications[out.rule.name] += 1
+            if not out.rule.is_static_noop():
                 st.mutations += 1
             self._note(G)
             if self.apply_hook is not None:
-                self.apply_hook(out.rule_name, G)
+                self.apply_hook(out.rule.name, G)
         return out.applied
 
     def _note(self, g: Graph) -> None:

@@ -172,12 +172,10 @@ class RuleSet:
 
     def __init__(self, rules: list[Rule]):
         self.rules = tuple(rules)
-        self._names: dict[str, Rule] = {}
         self._memo: dict[frozenset, tuple[Rule, ...]] = {}
         self._by_label: dict[Label, list[int]] = {}
         self._always: list[int] = []
         for i, r in enumerate(self.rules):
-            self._names.setdefault(r.name, r)
             roots = r.left.roots
             if len(roots) == 1:
                 lab = r.left.nodes[next(iter(roots))]
@@ -199,9 +197,6 @@ class RuleSet:
             self._memo[share(key)] = found
         return found
 
-    def rule(self, name: str) -> Rule:
-        return self._names[name]
-
     def __iter__(self):
         return iter(self.rules)
 
@@ -211,8 +206,7 @@ class RuleSet:
 
 class Outcome(NamedTuple):
     applied: bool
-    rule_name: Optional[str]
-    match: Optional[PartialMorphism]
+    rule: Optional[Rule]
     total_matches: int
 
 
@@ -232,10 +226,10 @@ def apply_ruleset(G: Graph, rules) -> Outcome:
         if ok and chosen is None:
             chosen = (r, ok[0])
     if chosen is None:
-        return Outcome(False, None, None, total)
+        return Outcome(False, None, total)
     r, m = chosen
     apply(G, r, m)
-    return Outcome(True, r.name, m, total)
+    return Outcome(True, r, total)
 
 
 def rules_to_text(rules: list[Rule]) -> str:

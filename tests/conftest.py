@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from minigp.harness import lockstep_verify, measure
+from minigp.harness import lockstep_verify, run_sim
 from minigp.machines import (
     counter_input,
     counter_machine,
@@ -47,6 +47,6 @@ def filler_metrics():
     """Measured runs of the tape-filler family, plus the wall time spent."""
     m = filler_machine()
     t0 = time.perf_counter()
-    metrics = {reps: measure(m, unary(reps), max_steps=100_000)
+    metrics = {reps: run_sim(m, unary(reps), max_steps=100_000)[0]
                for reps in (1, 7, 14, 28)}
     return metrics, time.perf_counter() - t0

@@ -18,7 +18,7 @@ from util import random_match_pair
 from minigp.compiler import gen_sim
 from minigp.encoding import EncodingParams, block_content, content_digits, enc
 from minigp.graphs import Graph, Label, graph_space
-from minigp.harness import bench_host, compare_modes
+from minigp.harness import bench_host, run_sim
 from minigp.lang import Done, Fail, parse_program, run_program
 from minigp.matching import match_all, match_bruteforce
 from minigp.rules import Rule
@@ -123,8 +123,10 @@ def test_runtime_assertions_and_mode_agreement(verification_cases,
         assert report.null_failure_ok, label
         assert report.unique_match_ok, label
     for label, m, input in verification_cases:
-        agreement = compare_modes(m, input)
-        assert agreement.ok, (label, agreement)
+        sem, _, g_sem = run_sim(m, input, mode="semantic")
+        eff, _, g_eff = run_sim(m, input, mode="efficient")
+        assert g_sem == g_eff, label
+        assert sem.rule_calls == eff.rule_calls, label
 
 
 def test_space_compression_invariants(filler_metrics):

@@ -169,6 +169,26 @@ class TestMutation:
         assert len(g.nodes) == 2 and len(g.edges) == 2
         assert g != h
 
+    def test_restore_undoes_every_mutation(self):
+        g, ids = chain(3)
+        g.set_root(ids[0])
+        saved, want = g.copy(), g.copy()
+        x = g.add_node(Label(4), root=True)
+        g.add_edge(ids[2], x)
+        g.remove_edge(g.out_edges(ids[1])[0])
+        g.relabel_node(ids[1], Label(7, "red"))
+        g.relabel_edge(g.out_edges(ids[0])[0], Label(1))
+        g.set_root(ids[0], False)
+        g.set_root(ids[2])
+        assert g != want
+        g.restore(saved)
+        assert g == want and to_text(g) == to_text(want)
+        assert all(g.out_edges(v) == want.out_edges(v)
+                   and g.in_edges(v) == want.in_edges(v) for v in ids)
+        assert g.add_node(Label(5)) == want.add_node(Label(5))
+        assert g.add_edge(ids[0], ids[2]) == want.add_edge(ids[0], ids[2])
+        assert g == want
+
     def test_equality_ignores_counters(self):
         g = Graph()
         g.add_node(Label(0), root=True)

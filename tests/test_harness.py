@@ -19,9 +19,7 @@ from minigp.harness import (
     SimulationError,
     bench_host,
     bench_matching,
-    compare_modes,
     lockstep_verify,
-    measure,
     metrics_lines,
     metrics_table,
     run_sim,
@@ -116,13 +114,13 @@ class TestLockstep:
 
 class TestMeasure:
     def test_immediate_halt(self):
-        mx = measure(empty_machine(), "1")
+        mx = run_sim(empty_machine(), "1")[0]
         assert (mx.restarts, mx.final_c, mx.final_b) == (0, 2, 9)
         assert mx.tm_steps == 0
         assert mx.tape_squares_used == 1
 
     def test_nineteen_squares_forces_one_restart(self):
-        mx = measure(fill_machine(18), "1")
+        mx = run_sim(fill_machine(18), "1")[0]
         assert mx.tape_squares_used == 19
         assert (mx.restarts, mx.final_c, mx.final_b) == (1, 3, 27)
 
@@ -130,7 +128,7 @@ class TestMeasure:
         for m, input in [(empty_machine(), "1"), (stamp_machine(), unary(4)),
                          (counter_machine(), counter_input(4)),
                          (fill_machine(19), "1")]:
-            mx = measure(m, input)
+            mx = run_sim(m, input)[0]
             assert mx.final_b == 3 ** mx.final_c
             assert mx.restarts == mx.final_c - 2
             assert mx.uniform_space == mx.peak_graph_space
@@ -143,25 +141,25 @@ class TestMeasure:
         for m, input in [(empty_machine(), "1"), (stamp_machine(), unary(6)),
                          (counter_machine(), counter_input(8)),
                          (fill_machine(18), "1"), (fill_machine(19), "1")]:
-            mx = measure(m, input)
+            mx = run_sim(m, input)[0]
             assert mx.peak_graph_space <= 8 * mx.final_b
 
     def test_restart_minimality(self):
         for writes in (18, 19, 25):
-            mx = measure(fill_machine(writes), "1")
+            mx = run_sim(fill_machine(writes), "1")[0]
             assert mx.restarts >= 1
             assert (mx.final_c - 1) * (mx.final_b // 3) < mx.tape_squares_used
 
     def test_per_step_counts_cover_replays(self):
-        mx = measure(fill_machine(19), "1")
+        mx = run_sim(fill_machine(19), "1")[0]
         report = lockstep_verify(fill_machine(19), "1")
         assert len(mx.per_step_rule_calls) == report.steps_checked
 
     def test_emitters(self):
-        mx = measure(empty_machine(), "1")
+        mx = run_sim(empty_machine(), "1")[0]
         lines = metrics_lines(mx)
         assert "final_c=2" in lines and "final_b=9" in lines and "restarts=0" in lines
-        table = metrics_table([("1", mx), ("11", measure(empty_machine(), "11"))])
+        table = metrics_table([("1", mx), ("11", run_sim(empty_machine(), "11")[0])])
         header, *rows = table.strip().splitlines()
         assert header.startswith("input,rule_calls,tm_steps,restarts,")
         assert len(rows) == 2
@@ -177,9 +175,10 @@ class TestModes:
         (fill_machine(19), "1"),
     ])
     def test_modes_agree(self, m, input):
-        agreement = compare_modes(m, input)
-        assert agreement.ok
-        assert agreement.semantic_rule_calls == agreement.efficient_rule_calls
+        sem, _, g_sem = run_sim(m, input, mode="semantic")
+        eff, _, g_eff = run_sim(m, input, mode="efficient")
+        assert g_sem == g_eff
+        assert sem.rule_calls == eff.rule_calls
 
 
 class TestBench:
@@ -270,5 +269,3 @@ class TestTypedFailures:
         monkeypatch.setattr(Interp, "run", lambda self, program, g: Fail())
         with pytest.raises(SimulationError, match="run failed"):
             run_sim(stamp_machine(), unary(1))
-        with pytest.raises(SimulationError, match="semantic mode"):
-            compare_modes(stamp_machine(), unary(1))

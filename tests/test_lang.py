@@ -466,16 +466,21 @@ def random_host(rng):
 
 
 def observe(interp_class, mode, prog, g):
-    """Outcome, counters and loop_hook calls of one run on a copy of g."""
+    """Outcome, counters and loop_hook calls of one run on a copy of g.
+    Interp's Done must carry that copy itself: it rewrites one host."""
     hooks = []
     interp = interp_class(
         mode=mode, max_rule_calls=60,
         loop_hook=lambda loop, h, st: hooks.append(
             (id(loop), to_text(h), st.rule_calls, st.mutations)))
     try:
-        cfg = interp.run(prog, g.copy())
-        end = ("Done", to_text(cfg.graph)) if isinstance(cfg, Done) \
-            else ("Fail",)
+        host = g.copy()
+        cfg = interp.run(prog, host)
+        if isinstance(cfg, Done):
+            assert interp_class is not Interp or cfg.graph is host, mode
+            end = ("Done", to_text(cfg.graph))
+        else:
+            end = ("Fail",)
     except (BudgetExceeded, NullFailureViolation) as e:
         end = (type(e).__name__, str(e))
     st = interp.stats

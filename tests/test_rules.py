@@ -240,13 +240,13 @@ class TestRuleSet:
         G = Graph()
         G.add_node(Label(0), root=True)
         out = apply_ruleset(G, [])
-        assert out == Outcome(False, None, None, 0)
+        assert out == Outcome(False, None, 0)
 
     def test_single_relabel(self):
         G = Graph()
         G.add_node(Label(0), root=True)
         out = apply_ruleset(G, [relabel_rule("a", 0, 1)])
-        assert out.applied and out.rule_name == "a" and out.total_matches == 1
+        assert out.applied and out.rule.name == "a" and out.total_matches == 1
         assert G.nodes[0] == Label(1)
 
     def test_declaration_order_wins(self):
@@ -254,7 +254,7 @@ class TestRuleSet:
         G.add_node(Label(0), root=True)
         rs = [relabel_rule("first", 0, 1), relabel_rule("second", 0, 2)]
         out = apply_ruleset(G, rs)
-        assert out.rule_name == "first"
+        assert out.rule.name == "first"
         assert out.total_matches == 2
 
     def test_dangling_failures_skipped(self):
@@ -264,14 +264,14 @@ class TestRuleSet:
         G.add_edge(x, y, Label(None, "red"))
         G.add_edge(y, y)
         out = apply_ruleset(G, [delete_node_rule(), relabel_rule("fallback", 0, 3)])
-        assert out.rule_name == "fallback" and out.total_matches == 1
+        assert out.rule.name == "fallback" and out.total_matches == 1
 
     def test_bucketing_matches_linear_scan(self):
         rs = [relabel_rule(f"r{i}", i, i + 1) for i in range(6)]
         G = Graph()
         G.add_node(Label(4), root=True)
         bucketed = apply_ruleset(G, RuleSet(rs))
-        assert bucketed.rule_name == "r4" and bucketed.total_matches == 1
+        assert bucketed.rule.name == "r4" and bucketed.total_matches == 1
 
     def test_static_noop(self):
         skiplike = Rule("skip", Graph(), Graph(), {})

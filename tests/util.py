@@ -293,8 +293,8 @@ class StepInterp:
         st.match_multiplicity_max = max(st.match_multiplicity_max, out.total_matches)
         if not out.applied:
             return None
-        st.rule_applications[out.rule_name] += 1
-        if not com.rules.rule(out.rule_name).is_static_noop():
+        st.rule_applications[out.rule.name] += 1
+        if not out.rule.is_static_noop():
             st.mutations += 1
         self._note(H)
         return H
