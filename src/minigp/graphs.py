@@ -107,9 +107,6 @@ class Graph:
     def in_edges(self, nid: int) -> list[int]:
         return self._in[nid]
 
-    def outdegree(self, nid: int) -> int:
-        return len(self._out[nid])
-
     def copy(self) -> Graph:
         g = Graph.__new__(Graph)
         g.nodes = dict(self.nodes)

@@ -299,8 +299,8 @@ def bench_matching(rule: Rule, host_sizes: Sequence[int], *, reps: int = 5,
     plan = rule.plan()
     for target in host_sizes:
         g = bench_host(target, input)
-        found = match_all(rule.left, g, plan)
-        seconds = _best_of(lambda: match_all(rule.left, g, plan), reps)
+        found = match_all(plan, g)
+        seconds = _best_of(lambda: match_all(plan, g), reps)
         brute_seconds = None
         if brute:
             brute_seconds = _best_of(lambda: match_bruteforce(rule.left, g),

@@ -3,10 +3,12 @@
 `compile_plan` turns a left-hand side into a search plan once: a flat
 sequence of steps that seed node slots at host roots and follow the
 per-root edge enumerations out of filled slots.  `match_all` runs the plan
-over small tuples of node and edge images and builds a morphism only for
-each complete match, so for rules whose nodes are all root-reachable the
-work done is independent of host size.  A brute-force enumerator over all
-injective mappings serves as the oracle.
+over small tuples of node and edge images, and each complete match stays
+such a pair of tuples, indexed by the plan's slots, all the way to the
+rewrite.  For rules whose nodes are all root-reachable the work done is
+independent of host size.  A brute-force enumerator over all injective
+mappings, which builds `PartialMorphism`s keyed by left-side id, serves as
+the oracle.
 """
 
 from __future__ import annotations
@@ -150,21 +152,25 @@ def compile_plan(L: Graph) -> SearchPlan:
     return SearchPlan(tuple(steps), share(tuple(slot)), share(tuple(edges)))
 
 
+Match = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 class MatchResult(NamedTuple):
-    matches: list[PartialMorphism]
+    """The complete matches of a plan, in search order, and the number of
+    single-item extensions tried.  A match is a pair (node images, edge
+    images): slot i of the plan's nodes (edges) maps to the i-th host id."""
+
+    matches: list[Match]
     extensions: int
 
 
-def match_all(L: Graph, G: Graph,
-              plan: Optional[SearchPlan] = None) -> MatchResult:
-    """All total injective root-preserving/reflecting morphisms L -> G.
+def match_all(plan: SearchPlan, G: Graph) -> MatchResult:
+    """All total injective root-preserving/reflecting morphisms from the
+    plan's left side into G.
 
-    Runs L's search plan (compiled here unless given) breadth first over
-    tuples of node and edge images, and builds a morphism for each complete
-    match only.  Also reports how many single-item extensions were tried:
-    one per host root at a seed step and one per followed out-edge."""
-    if plan is None:
-        plan = compile_plan(L)
+    Runs the plan breadth first over tuples of node and edge images.  Also
+    reports how many single-item extensions were tried: one per host root
+    at a seed step and one per followed out-edge."""
     nodes, edges, roots, out = G.nodes, G.edges, G.roots, G.out_edges
     partials = [((), ())]
     count = 0
@@ -194,10 +200,7 @@ def match_all(L: Graph, G: Graph,
         partials = grown
         if not partials:
             break
-    slots, eslots = plan.nodes, plan.edges
-    return MatchResult([PartialMorphism(dict(zip(slots, nimg)),
-                                        dict(zip(eslots, eimg)))
-                        for nimg, eimg in partials], count)
+    return MatchResult(partials, count)
 
 
 def match_bruteforce(L: Graph, G: Graph) -> list[PartialMorphism]:

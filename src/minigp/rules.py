@@ -7,13 +7,17 @@ relabels/re-roots the interface images from the right side.
 
 A rule compiles on first use: `plan` gives its left side's search plan,
 and `script` the application script that `apply` and `dangling_ok` replay
-instead of re-sorting both sides on every call.  Compilation is lazy
-because a generated library holds thousands of rules, many of which a run
-never tries: compiling all 2,656 rules of the filler machine up front
-takes nearly as long as generating them.  Scripts are built only for rules that
+instead of re-sorting both sides on every call.  A match is the pair of
+host-id tuples that `match_all` returns, indexed by the plan's slots, and
+the script names left items by those slot numbers, so applying a rule
+looks nothing up by left-side id.  Compilation is lazy because a
+generated library holds thousands of rules, many of which a run never
+tries: compiling all 2,656 rules of the filler machine up front takes
+nearly as long as generating them.  Scripts are built only for rules that
 match, and equal compiled pieces are shared between rules, so the
-compiled form stays small.  `RuleSet.candidates` memoizes its answer
-under the set of host root labels.
+compiled form stays small.  `RuleSet.candidates` keeps only the rules
+whose left-root labels all occur among the host's root labels, memoized
+under that set of host root labels.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from typing import NamedTuple, Optional
 
 from . import graphs
 from .graphs import Graph, Label
-from .matching import (PartialMorphism, SearchPlan, compile_plan, match_all,
-                       share)
+from .matching import Match, SearchPlan, compile_plan, match_all, share
 
 
 class DanglingViolation(Exception):
@@ -34,18 +37,19 @@ class DanglingViolation(Exception):
 class Script(NamedTuple):
     """What one application of a rule does to the host, in replay order.
 
-    Left-side ids resolve through the match.  Kept nodes and then new nodes
-    form a list of images that wire and roots index into: kept holds the
-    left ids of the interface nodes that right-side edges or roots need,
-    and add the labels of the new nodes in ascending right-side id order.
+    Left nodes are named by their slot in the rule's search plan, which
+    indexes the node images of a match.  Every matched edge is deleted, so
+    the script does not list them.  Kept nodes and then new nodes form a
+    list of images that wire and roots index into: kept holds the slots of
+    the interface nodes that right-side edges or roots need, and add the
+    labels of the new nodes in ascending right-side id order.
 
-    edges, nodes: left edges and non-interface left nodes to delete.
-    relabel: (left id, label) for interface nodes whose label changes.
+    nodes: slots of the non-interface left nodes to delete.
+    relabel: (slot, label) for interface nodes whose label changes.
     wire: (source, target, label) per right-side edge, ascending by id.
-    roots: images that become roots; unroot: left ids that stop being one.
+    roots: images that become roots; unroot: slots that stop being one.
     """
 
-    edges: tuple[int, ...]
     nodes: tuple[int, ...]
     relabel: tuple[tuple[int, Optional[Label]], ...]
     kept: tuple[int, ...]
@@ -56,8 +60,9 @@ class Script(NamedTuple):
 
 
 def compile_script(r: Rule) -> Script:
-    """The script that applies r at any match."""
+    """The script that applies r at any match of its search plan."""
     L, R = r.left, r.right
+    slot = {lv: i for i, lv in enumerate(r.plan().nodes)}
     back = {rv: lv for lv, rv in r.interface.items()}
     new = [rv for rv in sorted(R.nodes) if rv not in back]
     wired = {v for s, t, _ in R.edges.values() for v in (s, t)}
@@ -65,17 +70,16 @@ def compile_script(r: Rule) -> Script:
             if rv in wired or (rv in R.roots and back[rv] not in L.roots)]
     index = {rv: i for i, rv in enumerate(kept + new)}
     return share(Script(
-        edges=tuple(sorted(L.edges)),
-        nodes=tuple(v for v in sorted(L.nodes) if v not in r.interface),
-        relabel=tuple((back[rv], R.nodes[rv]) for rv in sorted(back)
+        nodes=tuple(slot[v] for v in sorted(L.nodes) if v not in r.interface),
+        relabel=tuple((slot[back[rv]], R.nodes[rv]) for rv in sorted(back)
                       if R.nodes[rv] != L.nodes[back[rv]]),
-        kept=tuple(back[rv] for rv in kept),
+        kept=tuple(slot[back[rv]] for rv in kept),
         add=tuple(R.nodes[rv] for rv in new),
         wire=tuple((index[s], index[t], lab) for s, t, lab in
                    (R.edges[e] for e in sorted(R.edges))),
         roots=tuple(index[rv] for rv in sorted(R.roots)
                     if rv not in back or back[rv] not in L.roots),
-        unroot=tuple(lv for lv, rv in sorted(r.interface.items())
+        unroot=tuple(slot[lv] for lv, rv in sorted(r.interface.items())
                      if lv in L.roots and rv not in R.roots),
     ))
 
@@ -117,71 +121,67 @@ class Rule:
 
     def is_static_noop(self) -> bool:
         """True iff applying the rule can never change any host graph: its
-        application script deletes, adds, relabels and re-roots nothing."""
+        left side has no edge to delete, and its application script deletes,
+        adds, relabels and re-roots nothing."""
         if self._noop is None:
-            self._noop = not any(self.script())
+            self._noop = not self.left.edges and not any(self.script())
         return self._noop
 
 
-def dangling_ok(h: PartialMorphism, r: Rule, G: Graph) -> bool:
-    """True iff no node slated for deletion keeps a host edge outside the match."""
+def dangling_ok(match: Match, r: Rule, G: Graph) -> bool:
+    """True iff no node slated for deletion keeps a host edge outside the
+    match, a pair of slot tuples from r's search plan."""
     dead = r.script().nodes
     if not dead:
         return True
-    matched = set(h.edge_map.values())
-    for lv in dead:
-        w = h.node_map[lv]
+    nimg, eimg = match
+    matched = set(eimg)
+    for i in dead:
+        w = nimg[i]
         if not matched.issuperset(G.out_edges(w)) or \
                 not matched.issuperset(G.in_edges(w)):
             return False
     return True
 
 
-def apply(G: Graph, r: Rule, h: PartialMorphism) -> Graph:
-    """Apply r at the total match h by replaying its script, rewriting G
-    in place; returns G.  Preserved items keep their ids; new nodes and all
-    right-side edges get fresh ids in ascending rule-id order."""
+def apply(G: Graph, r: Rule, match: Match) -> Graph:
+    """Apply r at a total match, the pair of slot tuples from r's search
+    plan, by deleting every matched edge and replaying the script; rewrites
+    G in place and returns it.  Preserved items keep their ids; new nodes
+    and all right-side edges get fresh ids in ascending rule-id order."""
     s = r.script()
-    if s.nodes and not dangling_ok(h, r, G):
-        raise DanglingViolation(f"rule {r.name} at {h.node_map}")
-    nm, em = h.node_map, h.edge_map
-    for e in s.edges:
-        G.remove_edge(em[e])
-    for lv in s.nodes:
-        G.remove_node(nm[lv])
-    for lv, lab in s.relabel:
-        G.relabel_node(nm[lv], lab)
+    if s.nodes and not dangling_ok(match, r, G):
+        raise DanglingViolation(f"rule {r.name} at {match}")
+    nimg, eimg = match
+    for f in eimg:
+        G.remove_edge(f)
+    for i in s.nodes:
+        G.remove_node(nimg[i])
+    for i, lab in s.relabel:
+        G.relabel_node(nimg[i], lab)
     if s.add or s.wire or s.roots:
-        img = [nm[lv] for lv in s.kept]
+        img = [nimg[i] for i in s.kept]
         img += [G.add_node(lab) for lab in s.add]
         for a, b, lab in s.wire:
             G.add_edge(img[a], img[b], lab)
         for i in s.roots:
             G.roots.add(img[i])
-    for lv in s.unroot:
-        G.roots.discard(nm[lv])
+    for i in s.unroot:
+        G.roots.discard(nimg[i])
     return G
 
 
 class RuleSet:
-    """Ordered rule list with an index from root label to candidate rules.
+    """Ordered rule list that skips rules which cannot match a host.
 
-    Rules whose left side has exactly one root can only match hosts carrying
-    a root with that label, so scanning skips the rest.  Skipped rules have
-    zero matches by construction, leaving outcomes and counts unchanged."""
+    A match maps each left root to a host root with the same label, so a
+    rule is a candidate only if all its left-root labels occur among the
+    host's root labels.  Skipped rules have zero matches by construction,
+    leaving outcomes and counts unchanged."""
 
     def __init__(self, rules: list[Rule]):
         self.rules = tuple(rules)
         self._memo: dict[frozenset, tuple[Rule, ...]] = {}
-        self._by_label: dict[Label, list[int]] = {}
-        self._always: list[int] = []
-        for i, r in enumerate(self.rules):
-            roots = r.left.roots
-            if len(roots) == 1:
-                lab = r.left.nodes[next(iter(roots))]
-                self._by_label.setdefault(lab, []).append(i)
-            else:
-                self._always.append(i)
 
     def candidates(self, G: Graph) -> tuple[Rule, ...]:
         """The rules that can match G, in declared order; memoized under the
@@ -189,16 +189,10 @@ class RuleSet:
         key = frozenset([G.nodes[v] for v in G.roots])
         found = self._memo.get(key)
         if found is None:
-            idxs = set(self._always)
-            for lab in key:
-                idxs.update(self._by_label.get(lab, ()))
-            found = self.rules if len(idxs) == len(self.rules) else \
-                tuple(self.rules[i] for i in sorted(idxs))
+            found = tuple(r for r in self.rules
+                          if all(r.left.nodes[v] in key for v in r.left.roots))
             self._memo[share(key)] = found
         return found
-
-    def __iter__(self):
-        return iter(self.rules)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -210,17 +204,15 @@ class Outcome(NamedTuple):
     total_matches: int
 
 
-def apply_ruleset(G: Graph, rules) -> Outcome:
-    """Scan rules in declared order and apply the first match of the first
-    rule that has one satisfying the dangling condition, rewriting G in
-    place.  The total number of applicable matches across the whole set is
-    reported either way."""
-    if not isinstance(rules, RuleSet):
-        rules = RuleSet(list(rules))
+def apply_ruleset(G: Graph, rules: RuleSet) -> Outcome:
+    """Scan the candidate rules in declared order and apply the first match
+    of the first rule that has one satisfying the dangling condition,
+    rewriting G in place.  The total number of applicable matches across
+    the whole set is reported either way."""
     total = 0
     chosen = None
     for r in rules.candidates(G):
-        ok = [m for m in match_all(r.left, G, r.plan()).matches
+        ok = [m for m in match_all(r.plan(), G).matches
               if dangling_ok(m, r, G)]
         total += len(ok)
         if ok and chosen is None:

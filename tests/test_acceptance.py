@@ -13,14 +13,14 @@ import time
 from random import Random
 
 from conftest import RANDOM_SEED
-from util import random_match_pair
+from util import morphism, random_match_pair
 
 from minigp.compiler import gen_sim
 from minigp.encoding import EncodingParams, block_content, content_digits, enc
 from minigp.graphs import Graph, Label, graph_space
 from minigp.harness import bench_host, run_sim
 from minigp.lang import Done, Fail, parse_program, run_program
-from minigp.matching import match_all, match_bruteforce
+from minigp.matching import compile_plan, match_all, match_bruteforce
 from minigp.rules import Rule
 from minigp.turing import TMConfiguration, TuringMachine
 
@@ -59,7 +59,8 @@ def test_matching_agrees_with_bruteforce():
     rng = Random(RANDOM_SEED)
     for i in range(200):
         L, G = random_match_pair(rng, max_l=4, max_g=8)
-        fast = {h.key() for h in match_all(L, G).matches}
+        plan = compile_plan(L)
+        fast = {morphism(plan, m).key() for m in match_all(plan, G).matches}
         slow = {h.key() for h in match_bruteforce(L, G)}
         assert fast == slow, f"pair {i}: fast {fast} != brute force {slow}"
     assert time.perf_counter() - t0 < 30.0
@@ -69,12 +70,12 @@ def _best_batch_seconds(rule: Rule, host: Graph, calls: int = 20,
                         reps: int = 100) -> float:
     """Best time of a batch of matches with the rule's cached search plan,
     the path the rule-set scan runs."""
-    left, plan = rule.left, rule.plan()
+    plan = rule.plan()
     best = math.inf
     for _ in range(reps):
         t0 = time.perf_counter()
         for _ in range(calls):
-            match_all(left, host, plan)
+            match_all(plan, host)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -96,7 +97,8 @@ def test_matching_cost_size_independent():
 
     for name, count in expected.items():
         rule = by_name[name]
-        extensions = {match_all(rule.left, g).extensions for g in hosts}
+        extensions = {match_all(compile_plan(rule.left), g).extensions
+                      for g in hosts}
         assert extensions == {count}, f"{name}: extensions {extensions}"
         times = [_best_batch_seconds(rule, g) for g in hosts]
         assert max(times) < 3 * min(times), f"{name}: spread {times}"

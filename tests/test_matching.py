@@ -17,7 +17,7 @@ from minigp.matching import (
     match_all,
     match_bruteforce,
 )
-from util import random_match_pair
+from util import morphism, random_match_pair
 
 
 def two_node_graphs():
@@ -30,6 +30,14 @@ def two_node_graphs():
     y = G.add_node(Label(2))
     f = G.add_edge(x, y, Label(None, "red"))
     return L, G
+
+
+def morphisms(L, G):
+    """match_all on L's compiled plan, with each match as a morphism."""
+    plan = compile_plan(L)
+    res = match_all(plan, G)
+    return MatchResult([morphism(plan, m) for m in res.matches],
+                       res.extensions)
 
 
 class TestCheckMorphism:
@@ -85,7 +93,7 @@ class TestExtend:
         L, G = two_node_graphs()
         L.remove_edge(0)
         L.remove_node(1)
-        res = match_all(L, G)
+        res = morphisms(L, G)
         assert [h.node_map for h in res.matches] == [{0: 0}]
         assert res.extensions == 1
 
@@ -94,14 +102,14 @@ class TestExtend:
         G2 = G.copy()
         z = G2.add_node(Label(1), root=True)
         f2 = G2.add_edge(z, 1, Label(None, "red"))
-        res = match_all(L, G2)
+        res = morphisms(L, G2)
         # f2 leaves z, so it is only ever paired with the root seeded at z.
         assert sorted((h.node_map[0], h.edge_map[0]) for h in res.matches) \
             == [(0, 0), (z, f2)]
 
     def test_edge_extension_adds_endpoints(self):
         L, G = two_node_graphs()
-        assert match_all(L, G).matches == [PartialMorphism({0: 0, 1: 1},
+        assert morphisms(L, G).matches == [PartialMorphism({0: 0, 1: 1},
                                                            {0: 0})]
 
     def test_extend_rejects_item_in_domain(self):
@@ -115,7 +123,7 @@ class TestExtend:
         G.add_edge(x, y)
         # b is reached through a's enumeration, so it is never seeded.
         assert [st[0] for st in compile_plan(L).steps] == [-1, a]
-        res = match_all(L, G)
+        res = morphisms(L, G)
         assert [h.node_map for h in res.matches] == [{a: x, b: y}]
         assert res.extensions == 3
 
@@ -127,15 +135,15 @@ class TestExtend:
         x = G.add_node(Label(0), root=True)
         y = G.add_node(Label(0))
         f = G.add_edge(x, y)
-        res = match_all(L, G)
+        res = morphisms(L, G)
         assert res.matches == [] and res.extensions == 2
 
     def test_edge_target_reflects_roots(self):
         L, G = two_node_graphs()
         G.set_root(1)
-        assert match_all(L, G).matches == []
+        assert morphisms(L, G).matches == []
         L.set_root(1)
-        assert match_all(L, G).matches == [PartialMorphism({0: 0, 1: 1},
+        assert morphisms(L, G).matches == [PartialMorphism({0: 0, 1: 1},
                                                            {0: 0})]
 
 
@@ -158,11 +166,26 @@ class TestCompilePlan:
             nodes=(r1, x, y, r2), edges=(e1, e2, e3))
 
     def test_given_plan_is_used(self):
-        L, G = two_node_graphs()
-        other = Graph()
-        other.add_node(Label(9), root=True)
-        assert match_all(other, G, compile_plan(L)).matches == \
-            match_all(L, G).matches
+        """A match holds host ids in the given plan's slot order, not in
+        left-side id order."""
+        L = Graph()
+        r1 = L.add_node(Label(0), root=True)
+        r2 = L.add_node(Label(1), root=True)
+        x = L.add_node(Label(2))
+        e1 = L.add_edge(r1, x, Label(4))
+        e2 = L.add_edge(r2, x, Label(6))
+        G = Graph()
+        gx = G.add_node(Label(2))
+        g2 = G.add_node(Label(1), root=True)
+        g1 = G.add_node(Label(0), root=True)
+        f2 = G.add_edge(g2, gx, Label(6))
+        f1 = G.add_edge(g1, gx, Label(4))
+        plan = compile_plan(L)
+        assert plan.nodes == (r1, x, r2) and plan.edges == (e1, e2)
+        res = match_all(plan, G)
+        assert res.matches == [((g1, gx, g2), (f1, f2))]
+        assert [morphism(plan, m) for m in res.matches] == \
+            match_bruteforce(L, G)
 
     def test_not_fast_raises(self):
         L = Graph()
@@ -235,7 +258,7 @@ class TestMatchAll:
         G.add_node(Label(5), root=True)
         for i in range(4):
             G.add_node(Label(i))
-        res = match_all(L, G)
+        res = morphisms(L, G)
         assert len(res.matches) == 1
         assert res.matches[0].node_map == {0: 0}
 
@@ -248,13 +271,13 @@ class TestMatchAll:
         x = G.add_node(Label(5), root=True)
         y = G.add_node(Label(0))
         G.add_edge(x, y, Label(None, "blue"))
-        assert match_all(L, G).matches == []
+        assert morphisms(L, G).matches == []
 
     def test_results_total_and_valid(self):
         rng = random.Random(11)
         for _ in range(40):
             L, G = random_match_pair(rng)
-            res = match_all(L, G)
+            res = morphisms(L, G)
             for m in res.matches:
                 assert set(m.node_map) == set(L.nodes)
                 assert set(m.edge_map) == set(L.edges)
@@ -265,7 +288,7 @@ class TestMatchAll:
         hits = 0
         for _ in range(60):
             L, G = random_match_pair(rng)
-            fast = {m.key() for m in match_all(L, G).matches}
+            fast = {m.key() for m in morphisms(L, G).matches}
             slow = {m.key() for m in match_bruteforce(L, G)}
             assert fast == slow
             hits += bool(fast)
@@ -289,13 +312,14 @@ class TestMatchAll:
                 prev = n
             return G
 
-        counts = {match_all(L, host(extra)).extensions for extra in (0, 10, 100, 1000)}
+        plan = compile_plan(L)
+        counts = {match_all(plan, host(extra)).extensions for extra in (0, 10, 100, 1000)}
         assert len(counts) == 1
 
     def test_returns_match_result(self):
         L = Graph()
         G = Graph()
-        res = match_all(L, G)
+        res = match_all(compile_plan(L), G)
         assert isinstance(res, MatchResult)
         assert res.extensions == 0
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from minigp.graphs import EMPTY, Graph, Label, to_text, validate_host_graph
-from minigp.matching import PartialMorphism, match_all, match_bruteforce
+from minigp.matching import match_all, match_bruteforce
 from minigp.rules import (
     DanglingViolation,
     Outcome,
@@ -18,13 +18,13 @@ from minigp.rules import (
     rules_to_text,
 )
 from util import (apply_reference, dangling_ok_reference,
-                  is_static_noop_reference, random_rule_and_host)
+                  is_static_noop_reference, random_graph, random_rule_and_host)
 
 
 def single(g):
     """The unique match of g's left side, for tests that know it exists."""
     rule, host = g
-    ms = match_all(rule.left, host).matches
+    ms = match_all(rule.plan(), host).matches
     assert len(ms) == 1
     return ms[0]
 
@@ -97,15 +97,15 @@ class TestApply:
     def test_identity_rule_preserves_ids(self):
         L = Graph()
         L.add_node(Label(3), root=True)
-        L.add_node(Label(4))
+        L.add_node(Label(4), root=True)
         R = Graph()
         R.add_node(Label(3), root=True)
-        R.add_node(Label(4))
+        R.add_node(Label(4), root=True)
         r = Rule("id", L, R, {0: 0, 1: 1})
         G = Graph()
         G.add_node(Label(3), root=True, nid=10)
-        G.add_node(Label(4), nid=11)
-        H = apply(G.copy(), r, match_bruteforce(L, G)[0])
+        G.add_node(Label(4), root=True, nid=11)
+        H = apply(G.copy(), r, single((r, G)))
         assert H == G
 
     def test_relabel_only_central(self):
@@ -134,7 +134,7 @@ class TestApply:
         r = Rule("unroot", L, R, {0: 0})
         G = Graph()
         G.add_node(Label(0), root=True)
-        H = apply(G, r, match_all(L, G).matches[0])
+        H = apply(G, r, match_all(r.plan(), G).matches[0])
         assert H.roots == set()
 
     def test_new_root_added(self):
@@ -184,6 +184,7 @@ class TestApply:
         R.add_node(Label(0), root=True)
         R.add_node(Label(1))
         R.add_node(Label(2))
+        R.add_edge(0, 1, Label(None, "green"))
         R.add_edge(0, 2, Label(None, "blue"))
         r = Rule("fwd", L, R, {0: 0, 1: 1})
         inv = Rule("bwd", R, L, {0: 0, 1: 1})
@@ -193,7 +194,7 @@ class TestApply:
         G.add_edge(x, y, Label(None, "red"))
         H = apply(G.copy(), r, single((r, G)))
         assert not isomorphic(H, G)
-        comatches = match_bruteforce(inv.left, H)
+        comatches = match_all(inv.plan(), H).matches
         assert len(comatches) == 1
         back = apply(H, inv, comatches[0])
         assert isomorphic(back, G)
@@ -218,7 +219,7 @@ class TestApplyOracle:
             r, G = random_rule_and_host(rng)
             assert r.is_static_noop() == is_static_noop_reference(r)
             noops += r.is_static_noop()
-            for h in match_all(r.left, G).matches:
+            for h in match_all(r.plan(), G).matches:
                 triples += 1
                 ok = dangling_ok_reference(h, r, G)
                 assert dangling_ok(h, r, G) == ok
@@ -239,13 +240,13 @@ class TestRuleSet:
     def test_empty_set_no_match(self):
         G = Graph()
         G.add_node(Label(0), root=True)
-        out = apply_ruleset(G, [])
+        out = apply_ruleset(G, RuleSet([]))
         assert out == Outcome(False, None, 0)
 
     def test_single_relabel(self):
         G = Graph()
         G.add_node(Label(0), root=True)
-        out = apply_ruleset(G, [relabel_rule("a", 0, 1)])
+        out = apply_ruleset(G, RuleSet([relabel_rule("a", 0, 1)]))
         assert out.applied and out.rule.name == "a" and out.total_matches == 1
         assert G.nodes[0] == Label(1)
 
@@ -253,7 +254,7 @@ class TestRuleSet:
         G = Graph()
         G.add_node(Label(0), root=True)
         rs = [relabel_rule("first", 0, 1), relabel_rule("second", 0, 2)]
-        out = apply_ruleset(G, rs)
+        out = apply_ruleset(G, RuleSet(rs))
         assert out.rule.name == "first"
         assert out.total_matches == 2
 
@@ -263,15 +264,52 @@ class TestRuleSet:
         y = G.add_node(Label(1))
         G.add_edge(x, y, Label(None, "red"))
         G.add_edge(y, y)
-        out = apply_ruleset(G, [delete_node_rule(), relabel_rule("fallback", 0, 3)])
+        out = apply_ruleset(G, RuleSet([delete_node_rule(),
+                                        relabel_rule("fallback", 0, 3)]))
         assert out.rule.name == "fallback" and out.total_matches == 1
 
-    def test_bucketing_matches_linear_scan(self):
-        rs = [relabel_rule(f"r{i}", i, i + 1) for i in range(6)]
-        G = Graph()
-        G.add_node(Label(4), root=True)
-        bucketed = apply_ruleset(G, RuleSet(rs))
-        assert bucketed.rule.name == "r4" and bucketed.total_matches == 1
+    def test_candidates_agree_with_linear_scan(self):
+        """Scanning only the candidates gives the applied rule, match count
+        and rewritten graph of a plain scan over every rule, on random rule
+        lists mixing left sides with no, one and several roots; and every
+        rule with a match is a candidate."""
+        rng = random.Random(41)
+
+        def rule_and_host():
+            # Most random left sides without roots are empty and match
+            # everywhere, so keep only some of them.
+            while True:
+                r, host = random_rule_and_host(rng)
+                if r.left.roots or rng.random() < 0.2:
+                    return r, host
+
+        roots = {0: 0, 1: 0, 2: 0}
+        applied = skipped = 0
+        for _ in range(150):
+            pairs = [rule_and_host() for _ in range(rng.randint(1, 6))]
+            rs = [r for r, _ in pairs]
+            for r in rs:
+                roots[min(len(r.left.roots), 2)] += 1
+            ruleset = RuleSet(rs)
+            hosts = [host for _, host in pairs]
+            hosts.append(random_graph(rng, 6, [None, 0, 1], [None, "red"],
+                                      [None, "red"]))
+            for G in hosts:
+                cands = ruleset.candidates(G)
+                assert [r for r in rs if any(r is c for c in cands)] == \
+                    list(cands)
+                for r in rs:
+                    if match_all(r.plan(), G).matches:
+                        assert any(r is c for c in cands)
+                skipped += len(rs) - len(cands)
+                want, total = _linear_scan(rs, G.copy())
+                out = apply_ruleset(G, ruleset)
+                assert out.rule is (want[0] if want else None)
+                assert out.total_matches == total
+                if want:
+                    assert to_text(G) == to_text(want[1])
+                applied += out.applied and bool(out.rule.left.roots)
+        assert min(roots.values()) >= 20 and applied >= 100 and skipped >= 100
 
     def test_static_noop(self):
         skiplike = Rule("skip", Graph(), Graph(), {})
@@ -280,6 +318,32 @@ class TestRuleSet:
         assert probe.is_static_noop()
         assert not relabel_rule("a", 0, 1).is_static_noop()
         assert not delete_node_rule().is_static_noop()
+        # Its script deletes no node and changes no label or root, but
+        # applying it deletes the matched edge.
+        L = Graph()
+        a = L.add_node(Label(0), root=True)
+        b = L.add_node(Label(1))
+        L.add_edge(a, b)
+        R = Graph()
+        R.add_node(Label(0), root=True)
+        R.add_node(Label(1))
+        cut = Rule("cut", L, R, {a: 0, b: 1})
+        assert not any(cut.script())
+        assert not cut.is_static_noop()
+
+
+def _linear_scan(rs, G):
+    """The first applicable rule of rs with the graph it rewrites G into,
+    or None, and the number of applicable matches over all of rs."""
+    total, want = 0, None
+    for r in rs:
+        ok = [m for m in match_all(r.plan(), G).matches if dangling_ok(m, r, G)]
+        total += len(ok)
+        if ok and want is None:
+            want = (r, ok[0])
+    if want is not None:
+        want = (want[0], apply(G, *want))
+    return want, total
 
 
 def _probe_sides():

@@ -7,7 +7,7 @@ from minigp.graphs import Graph, Label, graph_space
 from minigp.lang import (Break, BudgetExceeded, Com, Done, ExecStats, Fail,
                          If, Loop, NullFailureViolation, Program, RuleCall,
                          Seq, Try)
-from minigp.matching import NotFastRule, edge_enumerations
+from minigp.matching import NotFastRule, PartialMorphism, edge_enumerations
 from minigp.rules import DanglingViolation, Rule, apply_ruleset
 
 FULL_ATOMS = [None, 0, 1, 2, "L", "R", "I"]
@@ -113,8 +113,17 @@ def random_rule_and_host(rng, max_l=4, max_new=2):
     return Rule("random", L, R, interface), host
 
 
-def dangling_ok_reference(h, r, G):
+def morphism(plan, match):
+    """The match, a pair of slot tuples from match_all, as the
+    PartialMorphism keyed by left-side id that the oracle works with."""
+    nimg, eimg = match
+    return PartialMorphism(dict(zip(plan.nodes, nimg)),
+                           dict(zip(plan.edges, eimg)))
+
+
+def dangling_ok_reference(match, r, G):
     """The dangling condition, walking the rule's sides on every call."""
+    h = morphism(r.plan(), match)
     matched_edges = set(h.edge_map.values())
     for lv in r.left.nodes:
         if lv in r.interface:
@@ -129,11 +138,12 @@ def dangling_ok_reference(h, r, G):
     return True
 
 
-def apply_reference(G, r, h, in_place=False):
+def apply_reference(G, r, match, in_place=False):
     """Rule application, re-sorting the rule's sides on every call: the
     oracle for the compiled application script."""
-    if not dangling_ok_reference(h, r, G):
-        raise DanglingViolation(f"rule {r.name} at {h.node_map}")
+    if not dangling_ok_reference(match, r, G):
+        raise DanglingViolation(f"rule {r.name} at {match}")
+    h = morphism(r.plan(), match)
     H = G if in_place else G.copy()
     for e in sorted(h.edge_map):
         H.remove_edge(h.edge_map[e])
