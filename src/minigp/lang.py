@@ -4,10 +4,12 @@ recursive evaluator.
 Commands are rule-set calls, sequencing, if/try branching, as-long-as-
 possible loops (`!`), grouping, and break.  The evaluator rewrites one host
 graph in place.  Conditions and loop bodies are critical subprograms, whose
-result a construct may discard: semantic mode snapshots the host first and
-restores the snapshot into it when the result is discarded, efficient mode
-takes no snapshot and insists it would have been pointless (no mutation on
-any path whose result gets discarded).
+result a construct may discard.  Every command carries effect flags,
+computed bottom-up when it is built, that say whether a discarded run of it
+could have changed the host.  Semantic mode snapshots the host only before
+such a run and restores the snapshot into it when the result is discarded;
+efficient mode takes no snapshot and insists it would have been pointless
+(no mutation on any path whose result gets discarded).
 """
 
 from __future__ import annotations
@@ -39,7 +41,23 @@ class NullFailureViolation(RuntimeError):
 
 
 class Com:
-    """Base class for commands; instances compare by identity."""
+    """Base class for commands; instances compare by identity.
+
+    Each command carries three effect flags, set from its parts when it is
+    built: a run of it may end in failure (`may_fail`), may leave the host
+    changed (`may_mutate`), and may fail after changing the host
+    (`may_fail_after_mutating`).  A run of a command without the last flag
+    leaves the host as it found it when it fails; one without `may_mutate`
+    always does.  The conditions and loop bodies a construct may discard
+    are critical; the construct's `needs_snapshot` says whether a discarded
+    run of it could have changed the host."""
+
+    may_fail = may_mutate = may_fail_after_mutating = False
+
+    def _flags(self, fail: bool, mutate: bool, fail_after_mutating: bool) -> None:
+        object.__setattr__(self, "may_fail", fail)
+        object.__setattr__(self, "may_mutate", mutate)
+        object.__setattr__(self, "may_fail_after_mutating", fail_after_mutating)
 
 
 @dataclass(eq=False, frozen=True)
@@ -47,29 +65,70 @@ class RuleCall(Com):
     names: tuple[str, ...]
     rules: RuleSet = field(repr=False)
 
+    def __post_init__(self) -> None:
+        # A failed call changes nothing; a rule with an empty left side
+        # always applies.
+        rules = self.rules.rules
+        self._flags(all(r.left.nodes for r in rules),
+                    not all(r.is_static_noop() for r in rules), False)
+
 
 @dataclass(eq=False, frozen=True)
 class Seq(Com):
     parts: tuple[Com, ...]
 
+    def __post_init__(self) -> None:
+        mutate = fail_after = False
+        for p in self.parts:
+            fail_after = fail_after or p.may_fail_after_mutating or (mutate and p.may_fail)
+            mutate = mutate or p.may_mutate
+        self._flags(any(p.may_fail for p in self.parts), mutate, fail_after)
+
 
 @dataclass(eq=False, frozen=True)
 class If(Com):
+    """The condition's run is always discarded."""
+
     cond: Com
     then: Com
     els: Com
+    needs_snapshot: bool = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        t, e = self.then, self.els
+        self._flags(t.may_fail or e.may_fail, t.may_mutate or e.may_mutate,
+                    t.may_fail_after_mutating or e.may_fail_after_mutating)
+        object.__setattr__(self, "needs_snapshot", self.cond.may_mutate)
 
 
 @dataclass(eq=False, frozen=True)
 class Try(Com):
+    """The condition's run is kept when it succeeds."""
+
     cond: Com
     then: Com
     els: Com
+    needs_snapshot: bool = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        c, t, e = self.cond, self.then, self.els
+        self._flags(t.may_fail or e.may_fail,
+                    c.may_mutate or t.may_mutate or e.may_mutate,
+                    t.may_fail_after_mutating or e.may_fail_after_mutating
+                    or (c.may_mutate and t.may_fail))
+        object.__setattr__(self, "needs_snapshot", c.may_fail_after_mutating)
 
 
 @dataclass(eq=False, frozen=True)
 class Loop(Com):
+    """Runs its body until the body fails (discarded) or breaks."""
+
     body: Com
+    needs_snapshot: bool = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._flags(False, self.body.may_mutate, False)
+        object.__setattr__(self, "needs_snapshot", self.body.may_fail_after_mutating)
 
 
 @dataclass(eq=False, frozen=True)
@@ -104,6 +163,7 @@ _OK, _FAIL, _BREAK = "ok", "fail", "break"
 class ExecStats:
     rule_calls: int = 0
     mutations: int = 0
+    snapshots: int = 0
     restarts: int = 0
     peak_graph_space: int = 0
     peak_nodes: int = 0
@@ -311,7 +371,8 @@ class Interp:
 
     Both modes rewrite the one host graph in place.  They differ only in
     critical subprograms, the conditions and loop bodies whose result a
-    construct may discard: semantic mode snapshots the host before one and
+    construct may discard: semantic mode snapshots the host before one
+    whose discarded run could have changed it (`needs_snapshot`) and
     restores the snapshot on discard, efficient mode insists that a
     discarded run did not mutate.  `loop_hook(loop, graph, stats)` fires
     after each completed (non-breaking, non-failing) iteration.
@@ -360,7 +421,7 @@ class Interp:
             return _OK
         if isinstance(com, Loop):
             while True:
-                status = self._critical(com.body, G, True,
+                status = self._critical(com.body, G, True, com.needs_snapshot,
                                         "failing loop body mutated the graph")
                 if status is not _OK:
                     return _OK
@@ -368,6 +429,7 @@ class Interp:
                     self.loop_hook(com, G, self.stats)
         if isinstance(com, (If, Try)):
             status = self._critical(com.cond, G, isinstance(com, Try),
+                                    com.needs_snapshot,
                                     "failing condition mutated the graph")
             if status is _BREAK:
                 raise RuntimeError("break escaped a condition")
@@ -376,21 +438,27 @@ class Interp:
             return _BREAK
         raise TypeError(f"cannot run {com!r}")
 
-    def _critical(self, com: Com, G: Graph, keep: bool, failed: str) -> str:
+    def _critical(self, com: Com, G: Graph, keep: bool, snapshot: bool,
+                  failed: str) -> str:
         """Run com, a condition or loop body, on G and return its status.
         G keeps the run's changes after a break, or after success if keep;
         otherwise the run is discarded.  Semantic mode discards by restoring
-        a snapshot taken before the run; in efficient mode a discarded run
-        that mutated raises failed (after a failure) or the if-condition
-        message (after a success)."""
+        a snapshot taken before the run if snapshot, the site's
+        `needs_snapshot`; otherwise the effect flags prove that a discarded
+        run left G unchanged.  In efficient mode a discarded run that
+        mutated raises failed (after a failure) or the if-condition message
+        (after a success)."""
         before = self.stats.mutations
-        saved = G.copy() if self.mode == "semantic" else None
+        saved = None
+        if snapshot and self.mode == "semantic":
+            self.stats.snapshots += 1
+            saved = G.copy()
         status = self._exec(com, G)
         if status is _BREAK or (status is _OK and keep):
             return status
         if saved is not None:
             G.restore(saved)
-        elif self.stats.mutations != before:
+        elif self.mode == "efficient" and self.stats.mutations != before:
             raise NullFailureViolation(
                 failed if status is _FAIL else "if-condition mutated the graph it discards")
         return status
@@ -416,16 +484,3 @@ class Interp:
         st.peak_graph_space = max(st.peak_graph_space, graph_space(g))
         st.peak_nodes = max(st.peak_nodes, len(g.nodes))
 
-
-def run_program(
-    program: Union[Program, Com, Sequence[Com]],
-    g0: Graph,
-    *,
-    mode: str = "semantic",
-    max_rule_calls: Optional[int] = None,
-    loop_hook: Optional[Callable[[Loop, Graph, ExecStats], None]] = None,
-) -> tuple[ExecConfiguration, ExecStats]:
-    """One-shot run; returns the terminal configuration and its statistics."""
-    interp = Interp(mode=mode, max_rule_calls=max_rule_calls, loop_hook=loop_hook)
-    cfg = interp.run(program, g0)
-    return cfg, interp.stats

@@ -16,7 +16,8 @@ from minigp.compiler import (
 )
 from minigp.encoding import MalformedConfigGraph, dec, enc
 from minigp.graphs import Label, check_boundedness
-from minigp.lang import Done, Interp, Loop, parse_program, run_program
+from minigp.lang import Done, If, Interp, Loop, Seq, Try, parse_program
+from minigp.machines import counter_input, counter_machine, filler_machine, unary
 from minigp.matching import edge_enumerations
 from minigp.rules import RuleSet, apply_ruleset
 from minigp.turing import (
@@ -25,6 +26,7 @@ from minigp.turing import (
     initial_configuration,
     tm_run,
 )
+from util import run_program
 
 EMPTY_M = TuringMachine(0, 0, {})
 ONES = TuringMachine(0, 1, {
@@ -317,3 +319,54 @@ class TestFullRuns:
                         apply_hook=lambda name, g: _assert_bounded(g))
         cfg = interp.run(sim.program, initial_graph("1", RUN3.start))
         assert isinstance(cfg, Done)
+
+
+def critical_sites(coms, found):
+    """The distinct loops, ifs and tries of an inlined program; shared
+    procedure bodies make some of them reachable more than once."""
+    for c in coms:
+        if isinstance(c, Seq):
+            critical_sites(c.parts, found)
+        elif isinstance(c, (If, Try)):
+            found.setdefault(id(c), c)
+            critical_sites((c.cond, c.then, c.els), found)
+        elif isinstance(c, Loop):
+            found.setdefault(id(c), c)
+            critical_sites((c.body,), found)
+    return list(found.values())
+
+
+class TestBacktracking:
+    """Where semantic mode snapshots the host in the generated program."""
+
+    @pytest.mark.parametrize("make", [filler_machine, counter_machine])
+    def test_five_of_34_critical_sites_need_a_snapshot(self, make):
+        sim = gen_sim(make())
+        procs = sim.program.procedures
+
+        def runs(name, body):
+            """Whether body is procedure name, inlined at some call site."""
+            coms = procs[name]
+            if len(coms) == 1:
+                return body is coms[0]
+            return isinstance(body, Seq) and body.parts is coms
+
+        sites = critical_sites(sim.program.main, {})
+        assert len(sites) == 34
+        need = [s for s in sites if s.needs_snapshot]
+        assert all(isinstance(s, Loop) for s in need)
+        assert need[0] is sim.outer_loop
+        assert [next(n for n in procs if runs(n, s.body)) for s in need[1:]] \
+            == ["Simulate", "Decrement", "Decoding", "Increment"]
+
+    @pytest.mark.parametrize("make, inp, mode, snapshots", [
+        (filler_machine, unary(4), "semantic", 13_573),
+        (counter_machine, counter_input(8), "semantic", 4_103),
+        (counter_machine, counter_input(8), "efficient", 0),
+    ])
+    def test_snapshot_count(self, make, inp, mode, snapshots):
+        m = make()
+        interp = Interp(mode=mode)
+        cfg = interp.run(gen_sim(m).program, initial_graph(inp, m.start))
+        assert isinstance(cfg, Done)
+        assert interp.stats.snapshots == snapshots

@@ -10,6 +10,8 @@ import pytest
 
 from minigp.graphs import Graph, Label, to_text
 from minigp.lang import (
+    _FAIL,
+    _OK,
     Break,
     BreakOutsideLoop,
     BudgetExceeded,
@@ -26,10 +28,9 @@ from minigp.lang import (
     Try,
     UnknownRule,
     parse_program,
-    run_program,
 )
 from minigp.rules import Rule
-from util import Running, StepInterp, is_terminal
+from util import Running, StepInterp, is_terminal, run_program
 
 
 def node_rule(name, before, after, extra=0):
@@ -405,6 +406,85 @@ class TestModes:
         assert to_text(g) == before
 
 
+def command(text):
+    (com,) = parse("Main = " + text).main
+    return com
+
+
+def flags(com):
+    return com.may_fail, com.may_mutate, com.may_fail_after_mutating
+
+
+class TestEffects:
+    """The effect flags, one test per command kind, and the snapshot
+    choice of each kind of critical site."""
+
+    def test_rule_call(self):
+        assert flags(command("grow")) == (True, True, False)
+        assert flags(command("probe")) == (True, False, False)
+        assert flags(command("{grow, skip}")) == (False, True, False)
+        assert flags(command("{probe, skip}")) == (False, False, False)
+
+    def test_break(self):
+        assert flags(command("(break)!").body) == (False, False, False)
+
+    def test_seq_fails_after_mutating_only_in_that_order(self):
+        dirty, clean = command("(grow; never)!"), command("(never; grow)!")
+        assert flags(dirty.body) == (True, True, True)
+        assert flags(clean.body) == (True, True, False)
+        assert dirty.needs_snapshot
+        assert not clean.needs_snapshot
+        assert command("((grow; never)!; a)!").needs_snapshot
+
+    def test_loop_never_fails(self):
+        loop = command("(grow; never)!")
+        assert flags(loop) == (False, True, False)
+        assert not command("(a; (grow; never)!)!").needs_snapshot
+
+    def test_if_condition_snapshots_only_if_it_may_mutate(self):
+        clean, dirty = command("if probe then a"), command("if grow then a")
+        assert not clean.needs_snapshot
+        assert dirty.needs_snapshot
+        assert flags(clean) == flags(dirty) == (True, True, False)
+        assert flags(command("if grow then probe")) == (True, False, False)
+        assert flags(command("if probe then probe else grow")) == \
+            (True, True, False)
+        assert command("((if probe then probe else grow); never)!").needs_snapshot
+
+    def test_try_condition_and_then_branch(self):
+        loop = command("(try grow then never)!")
+        assert flags(loop.body) == (True, True, True)
+        assert loop.needs_snapshot
+        assert not loop.body.needs_snapshot
+        assert command("try (grow; never) then a").needs_snapshot
+        assert flags(command("try never then probe else grow")) == \
+            (True, True, False)
+        assert flags(command("try grow then {probe, skip}")) == \
+            (False, True, False)
+        for text in ("(try grow)!", "(try probe then never)!",
+                     "(try never then grow)!"):
+            assert not command(text).needs_snapshot, text
+
+    @pytest.mark.parametrize("text, snapshots", [
+        ("(grow; never)!", 1),
+        ("(never; grow)!", 0),
+        ("(if probe then a else never)!", 0),
+        ("if grow then a", 1),
+        ("(try grow then never)!", 1),
+        ("try (grow; never) then a else b", 1),
+    ])
+    def test_semantic_mode_counts_snapshots(self, text, snapshots):
+        sem = Interp(mode="semantic", max_rule_calls=20)
+        sem.run(parse("Main = " + text), host())
+        assert sem.stats.snapshots == snapshots
+        eff = Interp(mode="efficient", max_rule_calls=20)
+        try:
+            eff.run(parse("Main = " + text), host())
+        except NullFailureViolation:
+            pass
+        assert eff.stats.snapshots == 0
+
+
 class TestBreakEscape:
     """The parser rejects these placements; hand-built ASTs still reach run."""
 
@@ -509,3 +589,61 @@ def test_run_agrees_with_step_on_random_programs():
     kinds = {end for end, _ in ends}
     assert kinds == {"Done", "Fail", "BudgetExceeded", "NullFailureViolation"}
     assert sum(hooked for _, hooked in ends) >= 30
+
+
+class SiteCheck(Interp):
+    """Interp that checks each critical run against its site's
+    needs_snapshot: a discarded run without a snapshot must leave the host
+    as it found it (semantic mode), and NullFailureViolation must come from
+    a site that needs one (efficient mode).  The rule-call budget does not
+    bound a loop that calls no rule, such as `((break)!)!`, which the
+    random programs can hold, so iterations are budgeted too."""
+
+    def __init__(self, **kw):
+        super().__init__(loop_hook=self.count_iteration, **kw)
+        self.iterations = 0
+        self.skipped = 0
+        self.raised_at = None
+
+    def count_iteration(self, loop, G, stats):
+        self.iterations += 1
+        if self.iterations > 200:
+            raise BudgetExceeded("loop-iteration budget exhausted")
+
+    def _critical(self, com, G, keep, snapshot, failed):
+        before = (to_text(G), G.next_node_id, G.next_edge_id)
+        try:
+            status = super()._critical(com, G, keep, snapshot, failed)
+        except NullFailureViolation:
+            if self.raised_at is None:
+                self.raised_at = snapshot
+            raise
+        if not snapshot and (status is _FAIL or (status is _OK and not keep)):
+            self.skipped += 1
+            assert (to_text(G), G.next_node_id, G.next_edge_id) == before
+        return status
+
+
+def test_snapshot_free_sites_never_raise_null_failure():
+    """On random programs, efficient mode raises NullFailureViolation only
+    from a site that needs a snapshot, and semantic mode's discarded runs
+    without a snapshot change nothing."""
+    rng = Random(20261019)
+    skipped = {"semantic": 0, "efficient": 0}
+    raised = 0
+    for _ in range(400):
+        prog = parse("Main = " + random_command(rng, rng.randint(1, 4), False))
+        g = random_host(rng)
+        for mode in skipped:
+            interp = SiteCheck(mode=mode, max_rule_calls=60)
+            try:
+                interp.run(prog, g.copy())
+            except BudgetExceeded:
+                pass
+            except NullFailureViolation:
+                assert mode == "efficient"
+                assert interp.raised_at is True
+                raised += 1
+            skipped[mode] += interp.skipped
+    assert raised >= 20
+    assert min(skipped.values()) >= 150

@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 from minigp.graphs import Graph, Label, graph_space
 from minigp.lang import (Break, BudgetExceeded, Com, Done, ExecStats, Fail,
-                         If, Loop, NullFailureViolation, Program, RuleCall,
-                         Seq, Try)
+                         If, Interp, Loop, NullFailureViolation, Program,
+                         RuleCall, Seq, Try)
 from minigp.matching import NotFastRule, PartialMorphism, edge_enumerations
 from minigp.rules import DanglingViolation, Rule, apply_ruleset
 
@@ -30,13 +30,23 @@ def random_graph(rng, max_nodes, atoms, node_marks, edge_marks, root_p=0.4):
     return g
 
 
+# Share of random left sides that are empty.  The empty graph is always
+# fast and matches every host once, so it is redrawn everywhere else.
+EMPTY_LHS_RATE = 0.05
+
+
 def random_fast_lhs(rng, max_nodes=4, small=False):
-    """Random left-hand side whose nodes are all reachable from roots."""
+    """Random left-hand side whose nodes are all reachable from roots; empty
+    at the rate EMPTY_LHS_RATE."""
     atoms = SMALL_ATOMS if small else FULL_ATOMS
     marks = SMALL_MARKS if small else NODE_MARKS
     emarks = SMALL_MARKS if small else EDGE_MARKS
+    if rng.random() < EMPTY_LHS_RATE:
+        return Graph()
     while True:
         g = random_graph(rng, max_nodes, atoms, marks, emarks)
+        if not g.nodes:
+            continue
         try:
             edge_enumerations(g)
         except NotFastRule:
@@ -175,6 +185,14 @@ def is_static_noop_reference(r):
             and all(r.left.nodes[lv] == r.right.nodes[rv]
                     and (lv in r.left.roots) == (rv in r.right.roots)
                     for lv, rv in r.interface.items()))
+
+
+def run_program(program, g0, *, mode="semantic", max_rule_calls=None,
+                loop_hook=None):
+    """One-shot run; returns the terminal configuration and its statistics."""
+    interp = Interp(mode=mode, max_rule_calls=max_rule_calls, loop_hook=loop_hook)
+    cfg = interp.run(program, g0)
+    return cfg, interp.stats
 
 
 @dataclass(frozen=True)
