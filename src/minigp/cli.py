@@ -115,14 +115,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError(f"no rule named {name!r}; try one of "
                          f"{sorted(by_name)[:8]} ...")
     sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    header = "graph_space,extensions,seconds"
-    print(header + (",brute_seconds" if args.brute else ""))
-    for row in bench_matching(by_name[name], sizes, reps=args.reps,
-                              brute=args.brute):
-        cells = [str(row.graph_space), str(row.extensions), f"{row.seconds:.6f}"]
-        if args.brute:
-            cells.append(f"{row.brute_seconds:.6f}")
-        print(",".join(cells))
+    print("graph_space,extensions,seconds")
+    for row in bench_matching(by_name[name], sizes, reps=args.reps):
+        print(f"{row.graph_space},{row.extensions},{row.seconds:.6f}")
     return 0
 
 
@@ -184,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="100,1000,10000",
                    help="comma-separated host graph_space targets")
     p.add_argument("--reps", type=int, default=5, help="timing repetitions")
-    p.add_argument("--brute", action="store_true",
-                   help="also time the brute-force enumerator")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("space", help="tabulate run metrics over inputs")

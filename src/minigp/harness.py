@@ -20,7 +20,7 @@ from .encoding import MalformedConfigGraph, dec, enc
 from .graphs import Graph, graph_space
 from .lang import (Done, ExecStats, Interp, Loop, NullFailureViolation,
                    Program)
-from .matching import match_all, match_bruteforce
+from .matching import match_all
 from .rules import Rule
 from .turing import (TMConfiguration, TMError, TuringMachine,
                      initial_configuration, tm_run, tm_step)
@@ -261,7 +261,6 @@ class BenchRow(NamedTuple):
     extensions: int
     seconds: float
     matches: int
-    brute_seconds: Optional[float] = None
 
 
 def bench_host(target_space: int, input: str = "1" + "0" * 19) -> Graph:
@@ -286,14 +285,11 @@ def _best_of(f: Callable[[], object], reps: int) -> float:
 
 
 def bench_matching(rule: Rule, host_sizes: Sequence[int], *, reps: int = 5,
-                   brute: bool = False,
                    input: str = "1" + "0" * 19) -> list[BenchRow]:
     """Time match_all for one rule over hosts of growing size.
 
     Each row records the host's graph_space, the extension counter (which
-    stays flat for fast rules), and the best-of-reps wall time.  With
-    brute=True the brute-force oracle is timed alongside; only sensible
-    for single-node left-hand sides, where its cost is linear in the host.
+    stays flat for fast rules), and the best-of-reps wall time.
     """
     rows = []
     plan = rule.plan()
@@ -301,10 +297,6 @@ def bench_matching(rule: Rule, host_sizes: Sequence[int], *, reps: int = 5,
         g = bench_host(target, input)
         found = match_all(plan, g)
         seconds = _best_of(lambda: match_all(plan, g), reps)
-        brute_seconds = None
-        if brute:
-            brute_seconds = _best_of(lambda: match_bruteforce(rule.left, g),
-                                     reps)
         rows.append(BenchRow(graph_space(g), found.extensions, seconds,
-                             len(found.matches), brute_seconds))
+                             len(found.matches)))
     return rows

@@ -1,15 +1,19 @@
-"""Programs built from rule-set calls: parser, procedure inlining, and a
-recursive evaluator.
+"""Programs built from rule-set calls: parser, procedure inlining, and an
+evaluator that builds each program into closures once per run.
 
 Commands are rule-set calls, sequencing, if/try branching, as-long-as-
-possible loops (`!`), grouping, and break.  The evaluator rewrites one host
-graph in place.  Conditions and loop bodies are critical subprograms, whose
-result a construct may discard.  Every command carries effect flags,
-computed bottom-up when it is built, that say whether a discarded run of it
-could have changed the host.  Semantic mode snapshots the host only before
-such a run and restores the snapshot into it when the result is discarded;
-efficient mode takes no snapshot and insists it would have been pointless
-(no mutation on any path whose result gets discarded).
+possible loops (`!`), grouping, and break.  At the start of a run every
+distinct command becomes one closure from the host graph to a status, with
+the mode and each site's choices read then; the run calls the entry
+command's closure, which rewrites the one host graph in place.  Conditions
+and loop bodies are critical subprograms, whose result a construct may
+discard.  Every command carries effect flags, computed bottom-up when it
+is built, that say whether a discarded run of it could have changed the
+host.  Semantic mode snapshots the host only before such a run and
+restores the snapshot into it when the result is discarded; efficient mode
+takes no snapshot and insists it would have been pointless (no mutation on
+any path whose result gets discarded).  Peak graph space is noted only
+after rules that can raise it (`Rule.may_grow`).
 """
 
 from __future__ import annotations
@@ -157,6 +161,9 @@ ExecConfiguration = Union[Done, Fail]
 
 # Statuses of a command run by the evaluator.
 _OK, _FAIL, _BREAK = "ok", "fail", "break"
+
+# A command built into a closure: runs on the host, returns its status.
+Runner = Callable[[Graph], str]
 
 
 @dataclass
@@ -367,21 +374,23 @@ def parse_program(text: str, library: Mapping[str, object], entry: str = "Main")
 
 
 class Interp:
-    """Recursive evaluator over the command AST.
+    """Evaluator that builds the program into closures at the start of each
+    run, then calls the entry command's closure on the host.
 
-    Both modes rewrite the one host graph in place.  They differ only in
-    critical subprograms, the conditions and loop bodies whose result a
-    construct may discard: semantic mode snapshots the host before one
-    whose discarded run could have changed it (`needs_snapshot`) and
-    restores the snapshot on discard, efficient mode insists that a
-    discarded run did not mutate.  `loop_hook(loop, graph, stats)` fires
-    after each completed (non-breaking, non-failing) iteration.
+    Each distinct command (by identity, so a procedure body inlined at
+    several call sites is built once) becomes one function from the host to
+    its status; the mode, each site's `needs_snapshot`, the rule-call budget
+    and both hooks are read when it is built.  Both modes rewrite the one
+    host graph in place and differ only at critical sites (`_critical`).
+    `loop_hook(loop, graph, stats)` fires after each completed
+    (non-breaking, non-failing) iteration, `apply_hook(rule_name, graph)`
+    after each applied rule.
     """
 
     def __init__(
         self,
         *,
-        mode: str = "semantic",
+        mode: str,
         max_rule_calls: Optional[int] = None,
         loop_hook: Optional[Callable[[Loop, Graph, ExecStats], None]] = None,
         apply_hook: Optional[Callable[[str, Graph], None]] = None,
@@ -404,83 +413,124 @@ class Interp:
         else:
             coms = tuple(program)
         self._note(g0)
-        status = self._exec(Seq(coms), g0)
+        status = self._build(Seq(coms), {})(g0)
         if status is _BREAK:
             raise RuntimeError("break escaped the program")
         return Done(g0) if status is _OK else Fail()
 
-    def _exec(self, com: Com, G: Graph) -> str:
-        """Run com on G; returns the status: ok, fail or break."""
+    def _build(self, com: Com, built: dict[Com, Runner]) -> Runner:
+        """The closure that runs com on a host and returns its status,
+        built once per command and kept in built."""
+        f = built.get(com)
+        if f is None:
+            f = built[com] = self._compile(com, built)
+        return f
+
+    def _compile(self, com: Com, built: dict[Com, Runner]) -> Runner:
         if isinstance(com, RuleCall):
-            return _OK if self._call(com, G) else _FAIL
+            return self._rule_call(com)
         if isinstance(com, Seq):
-            for part in com.parts:
-                status = self._exec(part, G)
-                if status is not _OK:
-                    return status
-            return _OK
+            parts = tuple(self._build(p, built) for p in com.parts)
+
+            def seq(G: Graph) -> str:
+                for part in parts:
+                    status = part(G)
+                    if status is not _OK:
+                        return status
+                return _OK
+            return seq
         if isinstance(com, Loop):
-            while True:
-                status = self._critical(com.body, G, True, com.needs_snapshot,
-                                        "failing loop body mutated the graph")
-                if status is not _OK:
-                    return _OK
-                if self.loop_hook is not None:
-                    self.loop_hook(com, G, self.stats)
+            body = self._critical(self._build(com.body, built), True,
+                                  com.needs_snapshot,
+                                  "failing loop body mutated the graph")
+            hook, stats = self.loop_hook, self.stats
+
+            def loop(G: Graph) -> str:
+                while body(G) is _OK:
+                    if hook is not None:
+                        hook(com, G, stats)
+                return _OK
+            return loop
         if isinstance(com, (If, Try)):
-            status = self._critical(com.cond, G, isinstance(com, Try),
-                                    com.needs_snapshot,
-                                    "failing condition mutated the graph")
-            if status is _BREAK:
-                raise RuntimeError("break escaped a condition")
-            return self._exec(com.then if status is _OK else com.els, G)
+            cond = self._critical(self._build(com.cond, built),
+                                  isinstance(com, Try), com.needs_snapshot,
+                                  "failing condition mutated the graph")
+            then, els = self._build(com.then, built), self._build(com.els, built)
+
+            def branch(G: Graph) -> str:
+                status = cond(G)
+                if status is _OK:
+                    return then(G)
+                if status is _BREAK:
+                    raise RuntimeError("break escaped a condition")
+                return els(G)
+            return branch
         if isinstance(com, Break):
-            return _BREAK
+            return lambda G: _BREAK
         raise TypeError(f"cannot run {com!r}")
 
-    def _critical(self, com: Com, G: Graph, keep: bool, snapshot: bool,
-                  failed: str) -> str:
-        """Run com, a condition or loop body, on G and return its status.
-        G keeps the run's changes after a break, or after success if keep;
-        otherwise the run is discarded.  Semantic mode discards by restoring
-        a snapshot taken before the run if snapshot, the site's
-        `needs_snapshot`; otherwise the effect flags prove that a discarded
-        run left G unchanged.  In efficient mode a discarded run that
+    def _critical(self, run: Runner, keep: bool, snapshot: bool,
+                  failed: str) -> Runner:
+        """Wrap run, a condition or loop body.  The host keeps the run's
+        changes after a break, or after success if keep; otherwise the run
+        is discarded.  Semantic mode discards by restoring a snapshot taken
+        before the run if snapshot, the site's `needs_snapshot`; otherwise
+        the effect flags prove that a discarded run left the host unchanged,
+        and run is returned bare.  In efficient mode a discarded run that
         mutated raises failed (after a failure) or the if-condition message
         (after a success)."""
-        before = self.stats.mutations
-        saved = None
-        if snapshot and self.mode == "semantic":
-            self.stats.snapshots += 1
-            saved = G.copy()
-        status = self._exec(com, G)
-        if status is _BREAK or (status is _OK and keep):
-            return status
-        if saved is not None:
-            G.restore(saved)
-        elif self.mode == "efficient" and self.stats.mutations != before:
-            raise NullFailureViolation(
-                failed if status is _FAIL else "if-condition mutated the graph it discards")
-        return status
+        stats = self.stats
+        if self.mode == "semantic":
+            if not snapshot:
+                return run
 
-    def _call(self, com: RuleCall, G: Graph) -> bool:
-        st = self.stats
-        if self.max_rule_calls is not None and st.rule_calls >= self.max_rule_calls:
-            raise BudgetExceeded(f"rule-call budget {self.max_rule_calls} exhausted")
-        st.rule_calls += 1
-        out = apply_ruleset(G, com.rules)
-        st.match_multiplicity_max = max(st.match_multiplicity_max, out.total_matches)
-        if out.applied:
-            st.rule_applications[out.rule.name] += 1
-            if not out.rule.is_static_noop():
-                st.mutations += 1
-            self._note(G)
-            if self.apply_hook is not None:
-                self.apply_hook(out.rule.name, G)
-        return out.applied
+            def restoring(G: Graph) -> str:
+                stats.snapshots += 1
+                saved = G.copy()
+                status = run(G)
+                if status is _FAIL or (status is _OK and not keep):
+                    G.restore(saved)
+                return status
+            return restoring
+
+        def checked(G: Graph) -> str:
+            before = stats.mutations
+            status = run(G)
+            if (status is _FAIL or (status is _OK and not keep)) \
+                    and stats.mutations != before:
+                raise NullFailureViolation(
+                    failed if status is _FAIL
+                    else "if-condition mutated the graph it discards")
+            return status
+        return checked
+
+    def _rule_call(self, com: RuleCall) -> Runner:
+        rules, stats, hook = com.rules, self.stats, self.apply_hook
+        limit = self.max_rule_calls
+        note, counts = self._note, stats.rule_applications
+
+        def call(G: Graph) -> str:
+            if limit is not None and stats.rule_calls >= limit:
+                raise BudgetExceeded(f"rule-call budget {limit} exhausted")
+            stats.rule_calls += 1
+            # apply_ruleset is looked up in this module at call time, so a
+            # wrapper patched in here sees every call.
+            applied, rule, matches = apply_ruleset(G, rules)
+            if matches > stats.match_multiplicity_max:
+                stats.match_multiplicity_max = matches
+            if not applied:
+                return _FAIL
+            counts[rule.name] += 1
+            if not rule.is_static_noop():
+                stats.mutations += 1
+            if rule.may_grow():
+                note(G)
+            if hook is not None:
+                hook(rule.name, G)
+            return _OK
+        return call
 
     def _note(self, g: Graph) -> None:
         st = self.stats
         st.peak_graph_space = max(st.peak_graph_space, graph_space(g))
         st.peak_nodes = max(st.peak_nodes, len(g.nodes))
-

@@ -6,15 +6,11 @@ per-root edge enumerations out of filled slots.  `match_all` runs the plan
 over small tuples of node and edge images, and each complete match stays
 such a pair of tuples, indexed by the plan's slots, all the way to the
 rewrite.  For rules whose nodes are all root-reachable the work done is
-independent of host size.  A brute-force enumerator over all injective
-mappings, which builds `PartialMorphism`s keyed by left-side id, serves as
-the oracle.
+independent of host size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import permutations, product
 from typing import NamedTuple, Optional
 
 from .graphs import Graph, Label
@@ -26,44 +22,6 @@ class NotFastRule(Exception):
     def __init__(self, node: int):
         super().__init__(f"node {node} is not reachable from any root")
         self.node = node
-
-
-@dataclass
-class PartialMorphism:
-    """Injective structure-preserving partial map between two graphs."""
-
-    node_map: dict[int, int] = field(default_factory=dict)
-    edge_map: dict[int, int] = field(default_factory=dict)
-
-    def key(self) -> tuple:
-        return (tuple(sorted(self.node_map.items())),
-                tuple(sorted(self.edge_map.items())))
-
-
-def check_morphism(h: PartialMorphism, L: Graph, G: Graph) -> bool:
-    """True iff h is an injective partial morphism L -> G that preserves
-    sources, targets and labels and both preserves and reflects roots."""
-    if len(set(h.node_map.values())) != len(h.node_map):
-        return False
-    if len(set(h.edge_map.values())) != len(h.edge_map):
-        return False
-    for v, w in h.node_map.items():
-        if v not in L.nodes or w not in G.nodes:
-            return False
-        if L.nodes[v] != G.nodes[w]:
-            return False
-        if (v in L.roots) != (w in G.roots):
-            return False
-    for e, f in h.edge_map.items():
-        if e not in L.edges or f not in G.edges:
-            return False
-        ls, lt, llab = L.edges[e]
-        gs, gt, glab = G.edges[f]
-        if llab != glab:
-            return False
-        if h.node_map.get(ls) != gs or h.node_map.get(lt) != gt:
-            return False
-    return True
 
 
 def edge_enumerations(L: Graph) -> dict[int, list[int]]:
@@ -201,26 +159,3 @@ def match_all(plan: SearchPlan, G: Graph) -> MatchResult:
         if not partials:
             break
     return MatchResult(partials, count)
-
-
-def match_bruteforce(L: Graph, G: Graph) -> list[PartialMorphism]:
-    """Oracle enumerator: every injective node mapping crossed with every
-    compatible edge mapping, filtered through check_morphism."""
-    lnodes = sorted(L.nodes)
-    ledges = sorted(L.edges)
-    results = []
-    for images in permutations(sorted(G.nodes), len(lnodes)):
-        nm = dict(zip(lnodes, images))
-        cands = []
-        for e in ledges:
-            s, t, lab = L.edges[e]
-            want = (nm[s], nm[t], lab)
-            cands.append([f for f in sorted(G.edges) if G.edges[f] == want])
-        for combo in product(*cands):
-            if len(set(combo)) != len(combo):
-                continue
-            h = PartialMorphism(dict(nm), dict(zip(ledges, combo)))
-            if check_morphism(h, L, G):
-                results.append(h)
-    results.sort(key=PartialMorphism.key)
-    return results

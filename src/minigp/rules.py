@@ -99,6 +99,7 @@ class Rule:
     _plan: Optional[SearchPlan] = field(default=None, repr=False, compare=False)
     _script: Optional[Script] = field(default=None, repr=False, compare=False)
     _noop: Optional[bool] = field(default=None, repr=False, compare=False)
+    _grows: Optional[bool] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for lv, rv in self.interface.items():
@@ -126,6 +127,17 @@ class Rule:
         if self._noop is None:
             self._noop = not self.left.edges and not any(self.script())
         return self._noop
+
+    def may_grow(self) -> bool:
+        """True iff applying the rule can raise a host's node count or its
+        graph space: it adds more nodes than it deletes, or more nodes and
+        edges together (an application deletes every left edge)."""
+        if self._grows is None:
+            s = self.script()
+            added, deleted = len(s.add), len(s.nodes)
+            self._grows = added > deleted or \
+                added + len(s.wire) > deleted + len(self.left.edges)
+        return self._grows
 
 
 def dangling_ok(match: Match, r: Rule, G: Graph) -> bool:

@@ -13,14 +13,14 @@ import time
 from random import Random
 
 from conftest import RANDOM_SEED
-from util import morphism, random_match_pair, run_program
+from util import match_bruteforce, morphism, random_match_pair, run_program
 
 from minigp.compiler import gen_sim
 from minigp.encoding import EncodingParams, block_content, content_digits, enc
 from minigp.graphs import Graph, Label, graph_space
 from minigp.harness import bench_host, run_sim
 from minigp.lang import Done, Fail, parse_program
-from minigp.matching import compile_plan, match_all, match_bruteforce
+from minigp.matching import compile_plan, match_all
 from minigp.rules import Rule
 from minigp.turing import TMConfiguration, TuringMachine
 

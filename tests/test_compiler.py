@@ -239,7 +239,8 @@ class TestContracts:
     def test_restart_keeps_graphs_bounded(self):
         s = TMConfiguration(0, "10", 1, "012", 2)
         sim = gen_sim(ONES)
-        interp = Interp(apply_hook=lambda name, g: _assert_bounded(g))
+        interp = Interp(mode="semantic",
+                        apply_hook=lambda name, g: _assert_bounded(g))
         cfg = interp.run(_entry(sim, "Restart"), enc(s, 0))
         assert isinstance(cfg, Done)
 
@@ -315,7 +316,7 @@ class TestFullRuns:
 
     def test_all_intermediate_graphs_bounded(self):
         sim = gen_sim(RUN3)
-        interp = Interp(max_rule_calls=200_000,
+        interp = Interp(mode="semantic", max_rule_calls=200_000,
                         apply_hook=lambda name, g: _assert_bounded(g))
         cfg = interp.run(sim.program, initial_graph("1", RUN3.start))
         assert isinstance(cfg, Done)

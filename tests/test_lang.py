@@ -276,7 +276,8 @@ class TestStep:
     def test_loop_hook_skips_break_iterations(self):
         seen = []
         p = parse("Main = (a; break)!")
-        interp = Interp(loop_hook=lambda node, g, st: seen.append(g.nodes[0].atom))
+        interp = Interp(mode="semantic",
+                        loop_hook=lambda node, g, st: seen.append(g.nodes[0].atom))
         cfg = interp.run(p, host())
         assert isinstance(cfg, Done)
         assert cfg.graph.nodes[0] == Label(1)
@@ -285,7 +286,8 @@ class TestStep:
     def test_loop_hook_counts_iterations(self):
         seen = []
         text = "Main = (a; back)!"
-        interp = Interp(max_rule_calls=10, loop_hook=lambda n, g, s: seen.append(1))
+        interp = Interp(mode="semantic", max_rule_calls=10,
+                        loop_hook=lambda n, g, s: seen.append(1))
         with pytest.raises(BudgetExceeded):
             interp.run(parse(text), host())
         assert len(seen) == 5
@@ -545,14 +547,25 @@ def random_host(rng):
     return g
 
 
+# The rule-call budget does not bound a loop that calls no rule, such as
+# `((break)!)!`, which the random programs can hold, so the random tests
+# also budget loop iterations through loop_hook.
+MAX_ITERATIONS = 200
+
+
 def observe(interp_class, mode, prog, g):
     """Outcome, counters and loop_hook calls of one run on a copy of g.
-    Interp's Done must carry that copy itself: it rewrites one host."""
+    Interp's Done must carry that copy itself: it rewrites one host.  Both
+    interpreters fire loop_hook at the same points, so the iteration budget
+    stops them at the same iteration."""
     hooks = []
-    interp = interp_class(
-        mode=mode, max_rule_calls=60,
-        loop_hook=lambda loop, h, st: hooks.append(
-            (id(loop), to_text(h), st.rule_calls, st.mutations)))
+
+    def hook(loop, h, st):
+        hooks.append((id(loop), to_text(h), st.rule_calls, st.mutations))
+        if len(hooks) > MAX_ITERATIONS:
+            raise BudgetExceeded("loop-iteration budget exhausted")
+
+    interp = interp_class(mode=mode, max_rule_calls=60, loop_hook=hook)
     try:
         host = g.copy()
         cfg = interp.run(prog, host)
@@ -595,9 +608,8 @@ class SiteCheck(Interp):
     """Interp that checks each critical run against its site's
     needs_snapshot: a discarded run without a snapshot must leave the host
     as it found it (semantic mode), and NullFailureViolation must come from
-    a site that needs one (efficient mode).  The rule-call budget does not
-    bound a loop that calls no rule, such as `((break)!)!`, which the
-    random programs can hold, so iterations are budgeted too."""
+    a site that needs one (efficient mode).  Loop iterations are budgeted
+    as in observe."""
 
     def __init__(self, **kw):
         super().__init__(loop_hook=self.count_iteration, **kw)
@@ -607,21 +619,25 @@ class SiteCheck(Interp):
 
     def count_iteration(self, loop, G, stats):
         self.iterations += 1
-        if self.iterations > 200:
+        if self.iterations > MAX_ITERATIONS:
             raise BudgetExceeded("loop-iteration budget exhausted")
 
-    def _critical(self, com, G, keep, snapshot, failed):
-        before = (to_text(G), G.next_node_id, G.next_edge_id)
-        try:
-            status = super()._critical(com, G, keep, snapshot, failed)
-        except NullFailureViolation:
-            if self.raised_at is None:
-                self.raised_at = snapshot
-            raise
-        if not snapshot and (status is _FAIL or (status is _OK and not keep)):
-            self.skipped += 1
-            assert (to_text(G), G.next_node_id, G.next_edge_id) == before
-        return status
+    def _critical(self, run, keep, snapshot, failed):
+        inner = super()._critical(run, keep, snapshot, failed)
+
+        def checked(G):
+            before = (to_text(G), G.next_node_id, G.next_edge_id)
+            try:
+                status = inner(G)
+            except NullFailureViolation:
+                if self.raised_at is None:
+                    self.raised_at = snapshot
+                raise
+            if not snapshot and (status is _FAIL or (status is _OK and not keep)):
+                self.skipped += 1
+                assert (to_text(G), G.next_node_id, G.next_edge_id) == before
+            return status
+        return checked
 
 
 def test_snapshot_free_sites_never_raise_null_failure():

@@ -9,15 +9,13 @@ from minigp.graphs import EMPTY, Graph, Label
 from minigp.matching import (
     MatchResult,
     NotFastRule,
-    PartialMorphism,
     SearchPlan,
-    check_morphism,
     compile_plan,
     edge_enumerations,
     match_all,
-    match_bruteforce,
 )
-from util import morphism, random_match_pair
+from util import (PartialMorphism, check_morphism, match_bruteforce, morphism,
+                  random_match_pair)
 
 
 def two_node_graphs():

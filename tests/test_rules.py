@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from minigp.graphs import EMPTY, Graph, Label, to_text, validate_host_graph
-from minigp.matching import match_all, match_bruteforce
+from minigp.graphs import (EMPTY, Graph, Label, graph_space, to_text,
+                           validate_host_graph)
+from minigp.matching import match_all
 from minigp.rules import (
     DanglingViolation,
     Outcome,
@@ -18,7 +19,8 @@ from minigp.rules import (
     rules_to_text,
 )
 from util import (apply_reference, dangling_ok_reference,
-                  is_static_noop_reference, random_graph, random_rule_and_host)
+                  is_static_noop_reference, match_bruteforce, random_graph,
+                  random_rule_and_host)
 
 
 def single(g):
@@ -234,6 +236,27 @@ class TestApplyOracle:
                 assert (H.next_node_id, H.next_edge_id) == \
                     (want.next_node_id, want.next_edge_id)
         assert 50 <= dangling <= triples - 300 and noops >= 5
+
+    def test_may_grow_iff_an_application_raises_nodes_or_space(self):
+        """An application changes the node count and the graph space by
+        fixed amounts, so may_grow says exactly whether one raises either."""
+        rng = random.Random(29)
+        seen = {"space": 0, "nodes only": 0, "neither": 0}
+        while sum(seen.values()) < 400:
+            r, G = random_rule_and_host(rng)
+            for h in match_all(r.plan(), G).matches:
+                if not dangling_ok(h, r, G):
+                    continue
+                H = apply(G.copy(), r, h)
+                if graph_space(H) > graph_space(G):
+                    kind = "space"
+                elif len(H.nodes) > len(G.nodes):
+                    kind = "nodes only"
+                else:
+                    kind = "neither"
+                assert r.may_grow() == (kind != "neither"), kind
+                seen[kind] += 1
+        assert min(seen.values()) >= 30
 
 
 class TestRuleSet:

@@ -1,13 +1,15 @@
 """Shared test helpers: random graphs and rules, and the reference
-implementations the fast code is checked against."""
+implementations the fast code is checked against: the brute-force
+matcher, rule application, and the small-step relation."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import permutations, product
 
 from minigp.graphs import Graph, Label, graph_space
 from minigp.lang import (Break, BudgetExceeded, Com, Done, ExecStats, Fail,
                          If, Interp, Loop, NullFailureViolation, Program,
                          RuleCall, Seq, Try)
-from minigp.matching import NotFastRule, PartialMorphism, edge_enumerations
+from minigp.matching import NotFastRule, edge_enumerations
 from minigp.rules import DanglingViolation, Rule, apply_ruleset
 
 FULL_ATOMS = [None, 0, 1, 2, "L", "R", "I"]
@@ -121,6 +123,67 @@ def random_rule_and_host(rng, max_l=4, max_new=2):
                    Label(rng.choice(atoms), rng.choice(emarks)), eid=eid)
     host = embed_and_grow(rng, L, 4, atoms, marks, emarks)
     return Rule("random", L, R, interface), host
+
+
+@dataclass
+class PartialMorphism:
+    """Injective structure-preserving partial map between two graphs."""
+
+    node_map: dict[int, int] = field(default_factory=dict)
+    edge_map: dict[int, int] = field(default_factory=dict)
+
+    def key(self) -> tuple:
+        return (tuple(sorted(self.node_map.items())),
+                tuple(sorted(self.edge_map.items())))
+
+
+def check_morphism(h: PartialMorphism, L: Graph, G: Graph) -> bool:
+    """True iff h is an injective partial morphism L -> G that preserves
+    sources, targets and labels and both preserves and reflects roots."""
+    if len(set(h.node_map.values())) != len(h.node_map):
+        return False
+    if len(set(h.edge_map.values())) != len(h.edge_map):
+        return False
+    for v, w in h.node_map.items():
+        if v not in L.nodes or w not in G.nodes:
+            return False
+        if L.nodes[v] != G.nodes[w]:
+            return False
+        if (v in L.roots) != (w in G.roots):
+            return False
+    for e, f in h.edge_map.items():
+        if e not in L.edges or f not in G.edges:
+            return False
+        ls, lt, llab = L.edges[e]
+        gs, gt, glab = G.edges[f]
+        if llab != glab:
+            return False
+        if h.node_map.get(ls) != gs or h.node_map.get(lt) != gt:
+            return False
+    return True
+
+
+def match_bruteforce(L: Graph, G: Graph) -> list[PartialMorphism]:
+    """Oracle enumerator: every injective node mapping crossed with every
+    compatible edge mapping, filtered through check_morphism."""
+    lnodes = sorted(L.nodes)
+    ledges = sorted(L.edges)
+    results = []
+    for images in permutations(sorted(G.nodes), len(lnodes)):
+        nm = dict(zip(lnodes, images))
+        cands = []
+        for e in ledges:
+            s, t, lab = L.edges[e]
+            want = (nm[s], nm[t], lab)
+            cands.append([f for f in sorted(G.edges) if G.edges[f] == want])
+        for combo in product(*cands):
+            if len(set(combo)) != len(combo):
+                continue
+            h = PartialMorphism(dict(nm), dict(zip(ledges, combo)))
+            if check_morphism(h, L, G):
+                results.append(h)
+    results.sort(key=PartialMorphism.key)
+    return results
 
 
 def morphism(plan, match):
