@@ -11,17 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, Label
+from .encoding import BLUE, DASHED, GREEN, GREEN_I, RED
+from .graphs import EMPTY, Graph, Label
 from .lang import Loop, Program, parse_program
 from .rules import Rule
 from .turing import TuringMachine
 
-EMPTY = Label(None)
-GREEN = Label(None, "green")
-GREEN_I = Label("I", "green")
-BLUE = Label(None, "blue")
-RED = Label(None, "red")
-DASHED = Label(None, "dashed")
 MARK_L = Label("L")
 MARK_R = Label("R")
 

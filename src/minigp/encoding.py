@@ -8,16 +8,30 @@ a CACHE of c = k+2 ternary digits holding the active block.  The central
 node carries six out-edges: green "I" to the leftmost input node, green to
 the input head, blue to the leftmost block, dashed to the active block, red
 to the rightmost cache node, and an unmarked edge to the cache head.
+
+`enc` and `dec` share one layout function, `_schema(s, k)`: `enc` builds
+the graph from it, and `dec`, after extracting a configuration from the
+graph, checks the whole graph against the layout of that configuration.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .graphs import EMPTY, Graph, Label
 from .turing import BLANK, TMConfiguration
+
+GREEN_I = Label("I", "green")
+GREEN = Label(None, "green")
+BLUE = Label(None, "blue")
+DASHED = Label(None, "dashed")
+RED = Label(None, "red")
+# The central node's out-edges carry each of these labels exactly once;
+# the unmarked one, EMPTY, targets the cache head.
+_CENTRAL_LABELS = (GREEN_I, GREEN, BLUE, DASHED, RED, EMPTY)
 
 
 class LengthMismatch(ValueError):
@@ -91,14 +105,19 @@ def min_k(s: TMConfiguration) -> int:
     return k
 
 
-def _block_digits(s: TMConfiguration, p: EncodingParams) -> list[list[int]]:
-    padded = s.work + str(BLANK) * (p.capacity - len(s.work))
-    return [[int(ch) for ch in padded[i * p.c:(i + 1) * p.c]] for i in range(p.b)]
+def _chain(first: int, length: int) -> list[tuple[int, int, Label]]:
+    """Red edges rightward and blue edges back along the nodes first,
+    first+1, ..., first+length-1, in the order enc adds them."""
+    out = []
+    for v in range(first, first + length - 1):
+        out += ((v, v + 1, RED), (v + 1, v, BLUE))
+    return out
 
 
-def enc(s: TMConfiguration, k: int) -> Graph:
-    """Encode a configuration at level k; node ids run central, INPUT
-    left to right, BLOCKSET, CACHE, and edge ids follow one fixed order."""
+def _schema(s: TMConfiguration, k: int) -> tuple[list[Label], list[tuple[int, int, Label]]]:
+    """The canonical enc_k layout of s: node labels in id order and
+    (src, tgt, label) edge triples in edge-id order, all triples distinct.
+    Node ids run central, INPUT left to right, BLOCKSET, CACHE."""
     p = EncodingParams(k)
     if max(len(s.work), s.work_head + 1) > p.capacity:
         raise CapacityExceeded(f"{max(len(s.work), s.work_head + 1)} squares exceed {p.capacity}")
@@ -107,50 +126,66 @@ def enc(s: TMConfiguration, k: int) -> Graph:
         raise OutOfRange(f"input must be nonempty binary, got {s.input!r}")
     if not 0 <= s.input_head < n:
         raise OutOfRange(f"input head {s.input_head} outside [0, {n})")
+    if set(s.work) - {"0", "1", "2"}:
+        raise OutOfRange(f"work must be over {{0,1,2}}, got {s.work!r}")
+    if s.work_head < 0:
+        raise OutOfRange(f"work head {s.work_head} is negative")
 
-    digits = _block_digits(s, p)
-    active = s.work_head // p.c
-    offset = s.work_head % p.c
+    c, b = p.c, p.b
+    padded = s.work + str(BLANK) * (p.capacity - len(s.work))
+    active, offset = divmod(s.work_head, c)
+    first_block, first_cache = n + 1, n + 1 + b
 
+    labels = [Label(s.state)]
+    labels += [Label(int(ch)) for ch in s.input]
+    labels += [EMPTY] * b
+    labels += [Label(int(ch)) for ch in padded[active * c:(active + 1) * c]]
+
+    dashed = [(first_block + i, first_block + int(padded[i * c:(i + 1) * c], 3), DASHED)
+              for i in range(b)]
+    dashed[active] = (first_block + active, first_block, DASHED)
+    edges = [(0, 1, GREEN_I), (0, 1 + s.input_head, GREEN)]
+    edges += _chain(1, n)
+    edges += _chain(first_block, b)
+    edges += dashed
+    edges += [(0, first_block, BLUE), (0, first_block + active, DASHED)]
+    edges += _chain(first_cache, c)
+    edges += [(0, first_cache + c - 1, RED), (0, first_cache + offset, EMPTY)]
+    return labels, edges
+
+
+def enc(s: TMConfiguration, k: int) -> Graph:
+    """Encode a configuration at level k as the graph of its `_schema`
+    layout: node ids run central, INPUT left to right, BLOCKSET, CACHE,
+    and edge ids follow the layout's fixed order."""
+    labels, edges = _schema(s, k)
     g = Graph()
-    central = g.add_node(Label(s.state), root=True)
-    inp = [g.add_node(Label(int(ch))) for ch in s.input]
-    blocks = [g.add_node(EMPTY) for _ in range(p.b)]
-    cache = [g.add_node(Label(d)) for d in digits[active]]
-
-    g.add_edge(central, inp[0], Label("I", "green"))
-    g.add_edge(central, inp[s.input_head], Label(None, "green"))
-    for i in range(n - 1):
-        g.add_edge(inp[i], inp[i + 1], Label(None, "red"))
-        g.add_edge(inp[i + 1], inp[i], Label(None, "blue"))
-    for i in range(p.b - 1):
-        g.add_edge(blocks[i], blocks[i + 1], Label(None, "red"))
-        g.add_edge(blocks[i + 1], blocks[i], Label(None, "blue"))
-    for i in range(p.b):
-        tgt = blocks[0] if i == active else blocks[block_content(digits[i])]
-        g.add_edge(blocks[i], tgt, Label(None, "dashed"))
-    g.add_edge(central, blocks[0], Label(None, "blue"))
-    g.add_edge(central, blocks[active], Label(None, "dashed"))
-    for i in range(p.c - 1):
-        g.add_edge(cache[i], cache[i + 1], Label(None, "red"))
-        g.add_edge(cache[i + 1], cache[i], Label(None, "blue"))
-    g.add_edge(central, cache[-1], Label(None, "red"))
-    g.add_edge(central, cache[offset], Label(None))
+    for lab in labels:
+        g.add_node(lab)
+    g.set_root(0)
+    for src, tgt, lab in edges:
+        g.add_edge(src, tgt, lab)
     return g
+
+
+@lru_cache(maxsize=8)
+def _digit_strings(c: int) -> tuple[str, ...]:
+    """The c-digit ternary string of every block content at block size c."""
+    return tuple("".join(map(str, content_digits(v, c))) for v in range(3 ** c))
 
 
 def _walk_right(g: Graph, start: int, bad, what: str) -> list[int]:
     """Follow red edges rightward from start, guarding against cycles."""
+    edges = g.edges
     order = [start]
     seen = {start}
     while True:
-        reds = [e for e in g.out_edges(order[-1])
-                if g.edges[e][2] == Label(None, "red")]
+        reds = [e for e in g.out_edges(order[-1]) if edges[e][2] == RED]
         if not reds:
             return order
         if len(reds) > 1:
             bad(f"{what}: node {order[-1]} has several red out-edges")
-        tgt = g.edges[reds[0]][1]
+        tgt = edges[reds[0]][1]
         if tgt in seen:
             bad(f"{what}: red edges form a cycle at node {tgt}")
         order.append(tgt)
@@ -160,9 +195,11 @@ def _walk_right(g: Graph, start: int, bad, what: str) -> list[int]:
 def dec(g: Graph) -> tuple[TMConfiguration, int]:
     """Decode and fully validate a configuration graph.
 
-    Extracts the configuration, re-encodes it, and requires the input to
-    match the canonical encoding node for node; any schema deviation ends
-    in MalformedConfigGraph naming the first broken constraint.
+    Walks the schema sections to extract the configuration, then requires
+    the whole graph to equal its canonical encoding, the layout enc builds
+    from: every node label position by position and the multiset of edges
+    under the section order.  Any schema deviation ends in
+    MalformedConfigGraph naming the first broken constraint.
     """
     def bad(reason: str):
         raise MalformedConfigGraph(reason)
@@ -183,20 +220,17 @@ def dec(g: Graph) -> tuple[TMConfiguration, int]:
         if lab in targets:
             bad(f"central node has two {lab} out-edges")
         targets[lab] = tgt
-    want = [Label("I", "green"), Label(None, "green"), Label(None, "blue"),
-            Label(None, "dashed"), Label(None, "red"), Label(None)]
-    for lab in want:
+    for lab in _CENTRAL_LABELS:
         if lab not in targets:
             bad(f"central node lacks a {lab} out-edge")
 
-    inp = _walk_right(g, targets[Label("I", "green")], bad, "INPUT")
-    blocks = _walk_right(g, targets[Label(None, "blue")], bad, "BLOCKSET")
-    cache_right = targets[Label(None, "red")]
+    inp = _walk_right(g, targets[GREEN_I], bad, "INPUT")
+    blocks = _walk_right(g, targets[BLUE], bad, "BLOCKSET")
+    cache_right = targets[RED]
     cache = _walk_right(g, cache_right, bad, "CACHE")
     if len(cache) != 1:
         bad("central red edge does not target the rightmost cache node")
-    blues = [e for e in g.out_edges(cache_right)
-             if g.edges[e][2] == Label(None, "blue")]
+    blues = [e for e in g.out_edges(cache_right) if g.edges[e][2] == BLUE]
     cache = [cache_right]
     while blues:
         if len(blues) > 1:
@@ -205,8 +239,7 @@ def dec(g: Graph) -> tuple[TMConfiguration, int]:
         if tgt in cache:
             bad("CACHE: blue edges form a cycle")
         cache.insert(0, tgt)
-        blues = [e for e in g.out_edges(tgt)
-                 if g.edges[e][2] == Label(None, "blue")]
+        blues = [e for e in g.out_edges(tgt) if g.edges[e][2] == BLUE]
 
     c, b, n = len(cache), len(blocks), len(inp)
     if c < 2:
@@ -215,56 +248,61 @@ def dec(g: Graph) -> tuple[TMConfiguration, int]:
         bad(f"blockset has {b} nodes, expected 3^{c}")
     k = c - 2
     sections = [central] + inp + blocks + cache
-    if len(set(sections)) != len(sections):
+    to_ref = dict(zip(sections, range(len(sections))))
+    if len(to_ref) != len(sections):
         bad("schema sections overlap")
-    if set(sections) != set(g.nodes):
+    if to_ref.keys() != g.nodes.keys():
         bad(f"{len(g.nodes) - len(sections)} nodes outside the schema sections")
 
     bits = [g.nodes[v].atom for v in inp]
     if any(x not in (0, 1) for x in bits):
         bad("input node labelled outside {0,1}")
-    if targets[Label(None, "green")] not in inp:
+    if targets[GREEN] not in inp:
         bad("input head edge targets a non-input node")
-    input_head = inp.index(targets[Label(None, "green")])
+    input_head = inp.index(targets[GREEN])
 
-    if targets[Label(None, "dashed")] not in blocks:
+    if targets[DASHED] not in blocks:
         bad("active block edge targets a non-block node")
-    active = blocks.index(targets[Label(None, "dashed")])
+    active = blocks.index(targets[DASHED])
 
     digits = [g.nodes[v].atom for v in cache]
     if any(d not in (0, 1, 2) for d in digits):
         bad("cache node labelled outside {0,1,2}")
-    if targets[Label(None)] not in cache:
+    if targets[EMPTY] not in cache:
         bad("cache head edge targets a non-cache node")
-    offset = cache.index(targets[Label(None)])
+    offset = cache.index(targets[EMPTY])
 
     contents = []
-    block_index = {v: i for i, v in enumerate(blocks)}
+    block_strings = _digit_strings(c)
+    block_index = dict(zip(blocks, range(b)))
     for i, v in enumerate(blocks):
         if i == active:
-            contents.extend(digits)
+            contents.append("".join(str(d) for d in digits))
             continue
-        dashed = [e for e in g.out_edges(v)
-                  if g.edges[e][2] == Label(None, "dashed")]
+        dashed = [e for e in g.out_edges(v) if g.edges[e][2] == DASHED]
         if len(dashed) != 1:
             bad(f"block node {v} has {len(dashed)} dashed out-edges")
         tgt = g.edges[dashed[0]][1]
         if tgt not in block_index:
             bad(f"block node {v} points outside the blockset")
-        contents.extend(content_digits(block_index[tgt], c))
+        contents.append(block_strings[block_index[tgt]])
 
-    work = "".join(str(d) for d in contents).rstrip(str(BLANK))
+    work = "".join(contents).rstrip(str(BLANK))
     s = TMConfiguration(state, "".join(str(x) for x in bits), input_head,
                         work, active * c + offset)
 
-    reference = enc(s, k)
-    to_ref = {v: i for i, v in enumerate(sections)}
-    for v, i in to_ref.items():
-        if g.nodes[v] != reference.nodes[i]:
-            bad(f"node {v} labelled {g.nodes[v]}, schema wants {reference.nodes[i]}")
-    mine = Counter((to_ref[s_], to_ref[t], lab) for s_, t, lab in g.edges.values())
-    ref = Counter((s_, t, lab) for s_, t, lab in reference.edges.values())
-    if mine != ref:
+    labels, edges = _schema(s, k)
+    found = [g.nodes[v] for v in sections]
+    if found != labels:
+        i = next(i for i, lab in enumerate(found) if lab != labels[i])
+        bad(f"node {sections[i]} labelled {found[i]}, schema wants {labels[i]}")
+    srcs, tgts, labs = zip(*g.edges.values())
+    mine = set(zip(map(to_ref.__getitem__, srcs), map(to_ref.__getitem__, tgts), labs))
+    # The layout's triples are distinct, so equal counts and equal sets
+    # mean equal multisets; Counters only name the difference.
+    if len(g.edges) != len(edges) or mine != set(edges):
+        mine = Counter((to_ref[s_], to_ref[t], lab) for s_, t, lab in g.edges.values())
+        ref = Counter(edges)
         diff = next(iter((mine - ref) or (ref - mine)))
         bad(f"edge structure differs from the schema near {diff}")
     return s, k

@@ -1,9 +1,13 @@
 """Codec checks: block arithmetic, canonical encodings, and the validating
-decoder, including a re-encode roundtrip over random configurations."""
+decoder, including a re-encode roundtrip over random configurations and a
+differential check of dec against the reference decoder on spoiled
+encodings."""
 
 from __future__ import annotations
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,18 +17,30 @@ from minigp.encoding import (
     LengthMismatch,
     MalformedConfigGraph,
     OutOfRange,
+    _schema,
     block_content,
     content_digits,
     dec,
     enc,
     min_k,
 )
-from minigp.graphs import Label, check_boundedness, graph_space, validate_host_graph
+from minigp.graphs import Label, check_boundedness, graph_space, to_text, validate_host_graph
 from minigp.turing import TMConfiguration
+from util import dec_reference, enc_reference
 
 
 def config(state=0, input="10", input_head=0, work="", work_head=0):
     return TMConfiguration(state, input, input_head, work, work_head)
+
+
+def random_config(rng, k):
+    """A canonical configuration that fits level k but may not fit k-1."""
+    p = EncodingParams(k)
+    n = rng.randint(1, 8)
+    work = "".join(rng.choice("012") for _ in range(rng.randint(0, p.capacity))).rstrip("2")
+    head = rng.choice((0, p.capacity - 1, rng.randrange(p.capacity)))
+    return TMConfiguration(rng.randrange(10), "".join(rng.choice("01") for _ in range(n)),
+                           rng.randrange(n), work, head)
 
 
 class TestParams:
@@ -126,6 +142,54 @@ class TestEnc:
         with pytest.raises(OutOfRange):
             enc(config(input="10", input_head=2), 0)
 
+    def test_work_checks(self):
+        with pytest.raises(OutOfRange):
+            enc(config(work="013"), 0)
+        with pytest.raises(OutOfRange):
+            enc(config(work_head=-1), 0)
+
+    # sha256 of to_text(enc(s, k)), recorded from the edge-by-edge encoder
+    # that enc_reference keeps.  Matching, bench_host and the acceptance
+    # size checks all rely on these node and edge ids.
+    PINNED = [
+        (config(0, "1011", 0, "", 0), 0,
+         "4f3e982e95eeb200054deb6110ef64af155f0ff4d17ac228db8fa74fedd8c1a3"),
+        (config(5, "1011", 3, "01221012012010", 17), 0,
+         "9e8ac77c3e253182f1e23bfa626b5ec6361c7a66f975812a11ba7212d37c03bc"),
+        (config(2, "0", 0, "10", 0), 1,
+         "7c4b49f32b0cdc7a32ea29d89c0b89b161f370277557d090fb9800e132e6d569"),
+        (config(3, "110", 2, "0121" * 20, 80), 1,
+         "9e2bf62a25c1bdf2f7bf2b91a8f6a1330c0ac4b6e3f14ec9f24ac2215582287c"),
+        (config(7, "10", 1, "0120" * 40, 0), 2,
+         "02d1f8bc2d1875cd42eda2ca4c4165ac3fe5e9802375fd4569fe7e9d51ec4a0e"),
+        (config(1, "111", 0, "201" * 60 + "1", 323), 2,
+         "381f01bc306277f94a3240cd7cc4ba327419b95abd791e92cd79a07a97994912"),
+    ]
+
+    @pytest.mark.parametrize("s,k,digest", PINNED)
+    def test_pinned_text(self, s, k, digest):
+        assert hashlib.sha256(to_text(enc(s, k)).encode()).hexdigest() == digest
+        assert hashlib.sha256(to_text(enc_reference(s, k)).encode()).hexdigest() == digest
+
+    def test_agrees_with_reference(self):
+        rng = random.Random(20261018)
+        for _ in range(60):
+            k = rng.randrange(3)
+            s = random_config(rng, k)
+            g, want = enc(s, k), enc_reference(s, k)
+            assert g == want
+            assert list(g.edges) == list(want.edges)
+            assert (g.next_node_id, g.next_edge_id) == (want.next_node_id, want.next_edge_id)
+
+    def test_layout_edges_distinct(self):
+        """dec compares edge sets; that equals a multiset comparison only
+        because no layout repeats an edge."""
+        rng = random.Random(20261019)
+        for _ in range(60):
+            k = rng.randrange(3)
+            labels, edges = _schema(random_config(rng, k), k)
+            assert len(set(edges)) == len(edges)
+
 
 class TestRoundtrip:
     def test_initial(self):
@@ -150,8 +214,83 @@ class TestRoundtrip:
             assert dec(enc(s, k)) == (s, k)
 
 
-def spoil(g):
-    return g
+NODE_LABELS = [Label(a, m) for a in (None, 0, 1, 2, 3, "I") for m in (None, "red", "grey")]
+EDGE_LABELS = [Label(a, m) for a in (None, "I", 1)
+               for m in (None, "red", "green", "blue", "dashed")]
+SPOILS = ("relabel node", "relabel edge", "retarget edge", "delete edge",
+          "duplicate edge", "stray node", "stray edge", "add root", "drop root")
+
+
+def spoil(rng, g, kind):
+    """Change one item of g in the way kind names."""
+    nodes, edges = sorted(g.nodes), sorted(g.edges)
+    e = rng.choice(edges)
+    src, tgt, lab = g.edges[e]
+    if kind == "relabel node":
+        g.relabel_node(rng.choice(nodes), rng.choice(NODE_LABELS))
+    elif kind == "relabel edge":
+        g.relabel_edge(e, rng.choice(EDGE_LABELS))
+    elif kind == "retarget edge":
+        g.remove_edge(e)
+        g.add_edge(src, rng.choice(nodes), lab)
+    elif kind == "delete edge":
+        g.remove_edge(e)
+    elif kind == "duplicate edge":
+        g.add_edge(src, tgt, lab)
+    elif kind == "stray node":
+        v = g.add_node(rng.choice(NODE_LABELS))
+        if rng.random() < 0.5:
+            g.add_edge(rng.choice(nodes), v, rng.choice(EDGE_LABELS))
+    elif kind == "stray edge":
+        g.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice(EDGE_LABELS))
+    elif kind == "add root":
+        g.set_root(rng.choice(nodes))
+    elif kind == "drop root" and g.roots:
+        g.set_root(rng.choice(sorted(g.roots)), False)
+
+
+def outcome(decode, g):
+    try:
+        return decode(g)
+    except MalformedConfigGraph as e:
+        return f"rejected: {e}"
+
+
+class TestDecDifferential:
+    """dec against dec_reference, which walks the graph, re-encodes edge by
+    edge and compares edge multisets: the same (s, k) on every graph one of
+    them accepts, the same reason on every graph one of them rejects."""
+
+    def test_encodings(self):
+        rng = random.Random(20261020)
+        for _ in range(150):
+            k = rng.randrange(3)
+            s = random_config(rng, k)
+            g = enc(s, k)
+            assert dec(g) == dec_reference(g) == (s, k)
+
+    def test_spoiled_encodings(self):
+        """Each single-item spoil of a random encoding, plus two pairs, so
+        that dec must also name the first of several differences."""
+        rng = random.Random(20261021)
+        seen = Counter()
+        for _ in range(200):
+            k = rng.randrange(3)
+            s = random_config(rng, k)
+            for kinds in [(kind,) for kind in SPOILS] + [
+                    ("relabel node", "relabel node"), tuple(rng.choices(SPOILS, k=2))]:
+                g = enc(s, k)
+                for kind in kinds:
+                    spoil(rng, g, kind)
+                got = outcome(dec, g)
+                assert got == outcome(dec_reference, g), (s, k, kinds)
+                if not isinstance(got, str):
+                    seen["accepted"] += 1
+                elif "schema wants" in got or "edge structure" in got:
+                    seen["rejected by the final comparison"] += 1
+                else:
+                    seen["rejected earlier"] += 1
+        assert min(seen.values()) >= 50, seen
 
 
 class TestDecValidation:
@@ -209,7 +348,30 @@ class TestDecValidation:
             if lab == Label(None, "blue") and src != 0:
                 g.remove_edge(e)
                 break
-        self.expect(g, "")
+        self.expect(g, "edge structure")
+
+    def duplicate(self, g, src, lab):
+        for e in g.out_edges(src):
+            _, tgt, elab = g.edges[e]
+            if elab == lab:
+                g.add_edge(src, tgt, lab)
+                return
+        raise AssertionError(f"node {src} has no {lab} out-edge")
+
+    def test_duplicate_active_dashed(self):
+        """The per-block dashed walk skips the active block, so only the
+        final edge comparison sees its second dashed edge."""
+        g = self.base()
+        active = next(g.edges[e][1] for e in g.out_edges(0)
+                      if g.edges[e][2] == Label(None, "dashed"))
+        self.duplicate(g, active, Label(None, "dashed"))
+        self.expect(g, "edge structure")
+
+    def test_duplicate_input_blue(self):
+        """No walk follows blue INPUT edges."""
+        g = self.base()
+        self.duplicate(g, 2, Label(None, "blue"))
+        self.expect(g, "edge structure")
 
     def test_stray_node(self):
         g = self.base()

@@ -1,16 +1,22 @@
 """Shared test helpers: random graphs and rules, and the reference
 implementations the fast code is checked against: the brute-force
-matcher, rule application, and the small-step relation."""
+matcher, rule application, the configuration codec, and the small-step
+relation."""
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
-from minigp.graphs import Graph, Label, graph_space
+from minigp.encoding import (CapacityExceeded, EncodingParams,
+                             MalformedConfigGraph, OutOfRange, block_content,
+                             content_digits)
+from minigp.graphs import EMPTY, Graph, Label, graph_space
 from minigp.lang import (Break, BudgetExceeded, Com, Done, ExecStats, Fail,
                          If, Interp, Loop, NullFailureViolation, Program,
                          RuleCall, Seq, Try)
 from minigp.matching import NotFastRule, edge_enumerations
 from minigp.rules import DanglingViolation, Rule, apply_ruleset
+from minigp.turing import BLANK, TMConfiguration
 
 FULL_ATOMS = [None, 0, 1, 2, "L", "R", "I"]
 SMALL_ATOMS = [None, 0, 1]
@@ -248,6 +254,176 @@ def is_static_noop_reference(r):
             and all(r.left.nodes[lv] == r.right.nodes[rv]
                     and (lv in r.left.roots) == (rv in r.right.roots)
                     for lv, rv in r.interface.items()))
+
+
+def enc_reference(s, k):
+    """enc_k built edge by edge: the oracle for the shared layout."""
+    p = EncodingParams(k)
+    if max(len(s.work), s.work_head + 1) > p.capacity:
+        raise CapacityExceeded(f"{max(len(s.work), s.work_head + 1)} squares exceed {p.capacity}")
+    n = len(s.input)
+    if n == 0 or set(s.input) - {"0", "1"}:
+        raise OutOfRange(f"input must be nonempty binary, got {s.input!r}")
+    if not 0 <= s.input_head < n:
+        raise OutOfRange(f"input head {s.input_head} outside [0, {n})")
+
+    padded = s.work + str(BLANK) * (p.capacity - len(s.work))
+    digits = [[int(ch) for ch in padded[i * p.c:(i + 1) * p.c]] for i in range(p.b)]
+    active = s.work_head // p.c
+    offset = s.work_head % p.c
+
+    g = Graph()
+    central = g.add_node(Label(s.state), root=True)
+    inp = [g.add_node(Label(int(ch))) for ch in s.input]
+    blocks = [g.add_node(EMPTY) for _ in range(p.b)]
+    cache = [g.add_node(Label(d)) for d in digits[active]]
+
+    g.add_edge(central, inp[0], Label("I", "green"))
+    g.add_edge(central, inp[s.input_head], Label(None, "green"))
+    for i in range(n - 1):
+        g.add_edge(inp[i], inp[i + 1], Label(None, "red"))
+        g.add_edge(inp[i + 1], inp[i], Label(None, "blue"))
+    for i in range(p.b - 1):
+        g.add_edge(blocks[i], blocks[i + 1], Label(None, "red"))
+        g.add_edge(blocks[i + 1], blocks[i], Label(None, "blue"))
+    for i in range(p.b):
+        tgt = blocks[0] if i == active else blocks[block_content(digits[i])]
+        g.add_edge(blocks[i], tgt, Label(None, "dashed"))
+    g.add_edge(central, blocks[0], Label(None, "blue"))
+    g.add_edge(central, blocks[active], Label(None, "dashed"))
+    for i in range(p.c - 1):
+        g.add_edge(cache[i], cache[i + 1], Label(None, "red"))
+        g.add_edge(cache[i + 1], cache[i], Label(None, "blue"))
+    g.add_edge(central, cache[-1], Label(None, "red"))
+    g.add_edge(central, cache[offset], Label(None))
+    return g
+
+
+def _walk_right_reference(g, start, bad, what):
+    order = [start]
+    seen = {start}
+    while True:
+        reds = [e for e in g.out_edges(order[-1])
+                if g.edges[e][2] == Label(None, "red")]
+        if not reds:
+            return order
+        if len(reds) > 1:
+            bad(f"{what}: node {order[-1]} has several red out-edges")
+        tgt = g.edges[reds[0]][1]
+        if tgt in seen:
+            bad(f"{what}: red edges form a cycle at node {tgt}")
+        order.append(tgt)
+        seen.add(tgt)
+
+
+def dec_reference(g):
+    """Decode by walking the graph, re-encode the result with
+    enc_reference, and compare the two graphs' edge multisets: the oracle
+    for dec, which checks against the shared layout instead."""
+    def bad(reason):
+        raise MalformedConfigGraph(reason)
+
+    if len(g.roots) != 1:
+        bad(f"expected exactly one root, found {len(g.roots)}")
+    central = next(iter(g.roots))
+    state = g.nodes[central].atom
+    if not isinstance(state, int):
+        bad(f"central label {g.nodes[central]} is not a state")
+
+    targets = {}
+    out = g.out_edges(central)
+    if len(out) != 6:
+        bad(f"central node has {len(out)} out-edges, expected 6")
+    for e in out:
+        _, tgt, lab = g.edges[e]
+        if lab in targets:
+            bad(f"central node has two {lab} out-edges")
+        targets[lab] = tgt
+    want = [Label("I", "green"), Label(None, "green"), Label(None, "blue"),
+            Label(None, "dashed"), Label(None, "red"), Label(None)]
+    for lab in want:
+        if lab not in targets:
+            bad(f"central node lacks a {lab} out-edge")
+
+    inp = _walk_right_reference(g, targets[Label("I", "green")], bad, "INPUT")
+    blocks = _walk_right_reference(g, targets[Label(None, "blue")], bad, "BLOCKSET")
+    cache_right = targets[Label(None, "red")]
+    cache = _walk_right_reference(g, cache_right, bad, "CACHE")
+    if len(cache) != 1:
+        bad("central red edge does not target the rightmost cache node")
+    blues = [e for e in g.out_edges(cache_right)
+             if g.edges[e][2] == Label(None, "blue")]
+    cache = [cache_right]
+    while blues:
+        if len(blues) > 1:
+            bad(f"CACHE: node {cache[0]} has several blue out-edges")
+        tgt = g.edges[blues[0]][1]
+        if tgt in cache:
+            bad("CACHE: blue edges form a cycle")
+        cache.insert(0, tgt)
+        blues = [e for e in g.out_edges(tgt)
+                 if g.edges[e][2] == Label(None, "blue")]
+
+    c, b, n = len(cache), len(blocks), len(inp)
+    if c < 2:
+        bad(f"cache has {c} nodes, need at least 2")
+    if b != 3 ** c:
+        bad(f"blockset has {b} nodes, expected 3^{c}")
+    k = c - 2
+    sections = [central] + inp + blocks + cache
+    if len(set(sections)) != len(sections):
+        bad("schema sections overlap")
+    if set(sections) != set(g.nodes):
+        bad(f"{len(g.nodes) - len(sections)} nodes outside the schema sections")
+
+    bits = [g.nodes[v].atom for v in inp]
+    if any(x not in (0, 1) for x in bits):
+        bad("input node labelled outside {0,1}")
+    if targets[Label(None, "green")] not in inp:
+        bad("input head edge targets a non-input node")
+    input_head = inp.index(targets[Label(None, "green")])
+
+    if targets[Label(None, "dashed")] not in blocks:
+        bad("active block edge targets a non-block node")
+    active = blocks.index(targets[Label(None, "dashed")])
+
+    digits = [g.nodes[v].atom for v in cache]
+    if any(d not in (0, 1, 2) for d in digits):
+        bad("cache node labelled outside {0,1,2}")
+    if targets[Label(None)] not in cache:
+        bad("cache head edge targets a non-cache node")
+    offset = cache.index(targets[Label(None)])
+
+    contents = []
+    block_index = {v: i for i, v in enumerate(blocks)}
+    for i, v in enumerate(blocks):
+        if i == active:
+            contents.extend(digits)
+            continue
+        dashed = [e for e in g.out_edges(v)
+                  if g.edges[e][2] == Label(None, "dashed")]
+        if len(dashed) != 1:
+            bad(f"block node {v} has {len(dashed)} dashed out-edges")
+        tgt = g.edges[dashed[0]][1]
+        if tgt not in block_index:
+            bad(f"block node {v} points outside the blockset")
+        contents.extend(content_digits(block_index[tgt], c))
+
+    work = "".join(str(d) for d in contents).rstrip(str(BLANK))
+    s = TMConfiguration(state, "".join(str(x) for x in bits), input_head,
+                        work, active * c + offset)
+
+    reference = enc_reference(s, k)
+    to_ref = {v: i for i, v in enumerate(sections)}
+    for v, i in to_ref.items():
+        if g.nodes[v] != reference.nodes[i]:
+            bad(f"node {v} labelled {g.nodes[v]}, schema wants {reference.nodes[i]}")
+    mine = Counter((to_ref[s_], to_ref[t], lab) for s_, t, lab in g.edges.values())
+    ref = Counter((s_, t, lab) for s_, t, lab in reference.edges.values())
+    if mine != ref:
+        diff = next(iter((mine - ref) or (ref - mine)))
+        bad(f"edge structure differs from the schema near {diff}")
+    return s, k
 
 
 def run_program(program, g0, *, mode="semantic", max_rule_calls=None,
