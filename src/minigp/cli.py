@@ -2,10 +2,10 @@
 
 Subcommands: `exec` runs the reference machine, `run` the compiled
 simulator, `verify` checks them against each other in lockstep, `gen`
-prints the generated program and rule library, `bench` times matching
-on growing hosts, and `space` tabulates run metrics over several inputs.
-Exit status is 0 on success, 1 on divergence or a failed run, 2 on
-parse or I/O errors.
+prints the generated program and rule library, and `space` tabulates run
+metrics over several inputs.  Exit status is 0 on success, 1 on
+divergence or a `RunError` (a failed or overrun run), 2 on an
+`InputError`, any other `ValueError`, or an I/O error.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from typing import Optional, Sequence
 
 from . import graphs
 from .compiler import gen_sim
-from .harness import (SimulationError, Trace, bench_matching,
-                      lockstep_verify, metrics_lines, metrics_table, run_sim)
-from .lang import NullFailureViolation
+from .errors import RunError
+from .harness import (Trace, lockstep_verify, metrics_lines, metrics_table,
+                      run_sim)
 from .rules import rules_to_text
-from .turing import (ParseError, TMConfiguration, TMError, TuringMachine,
-                     parse_tm, tm_run)
+from .turing import TMConfiguration, TuringMachine, parse_tm, tm_run
 
 REPAIR_NOTE = ("# The restart check sits inside the outer loop so a flagged"
                " pass retries\n# the whole simulation at the next capacity;"
@@ -31,12 +30,6 @@ REPAIR_NOTE = ("# The restart check sits inside the outer loop so a flagged"
 
 def _load(path: str) -> TuringMachine:
     return parse_tm(Path(path).read_text())
-
-
-def _binary(s: str) -> str:
-    if not s or set(s) - {"0", "1"}:
-        raise ValueError(f"input must be a nonempty string over 0/1, got {s!r}")
-    return s
 
 
 def _config_line(s: TMConfiguration) -> str:
@@ -52,7 +45,7 @@ def _tracer(enabled: bool) -> Optional[Trace]:
 
 def _cmd_exec(args: argparse.Namespace) -> int:
     m = _load(args.tm_file)
-    final, steps, squares = tm_run(m, _binary(args.input), args.max_steps)
+    final, steps, squares = tm_run(m, args.input, args.max_steps)
     print(_config_line(final))
     print(f"steps={steps}")
     print(f"squares={squares}")
@@ -61,7 +54,7 @@ def _cmd_exec(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     m = _load(args.tm_file)
-    metrics, final, g = run_sim(m, _binary(args.input), args.max_steps,
+    metrics, final, g = run_sim(m, args.input, args.max_steps,
                                 mode=args.mode, trace=_tracer(args.trace),
                                 max_rule_calls=args.max_rule_calls)
     print(_config_line(final))
@@ -74,7 +67,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     m = _load(args.tm_file)
-    report = lockstep_verify(m, _binary(args.input), args.max_steps,
+    report = lockstep_verify(m, args.input, args.max_steps,
                              mode=args.mode, trace=_tracer(args.trace),
                              max_rule_calls=args.max_rule_calls)
     print(f"steps_checked={report.steps_checked}")
@@ -107,25 +100,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    sim = gen_sim(_load(args.tm_file))
-    by_name = {r.name: r for rules in sim.library.values() for r in rules}
-    name = args.rule or f"SetFlag_{sim.machine.start}"
-    if name not in by_name:
-        raise ValueError(f"no rule named {name!r}; try one of "
-                         f"{sorted(by_name)[:8]} ...")
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    print("graph_space,extensions,seconds")
-    for row in bench_matching(by_name[name], sizes, reps=args.reps):
-        print(f"{row.graph_space},{row.extensions},{row.seconds:.6f}")
-    return 0
-
-
 def _cmd_space(args: argparse.Namespace) -> int:
     m = _load(args.tm_file)
     rows = []
     for input in args.inputs.split(","):
-        rows.append((input, run_sim(m, _binary(input), args.max_steps,
+        rows.append((input, run_sim(m, input, args.max_steps,
                                     mode=args.mode)[0]))
     print(metrics_table(rows), end="")
     return 0
@@ -172,15 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, input_flag=False)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("bench", help="time matching on growing hosts")
-    common(p, input_flag=False)
-    p.add_argument("--rule", default=None,
-                   help="rule name to match (default: the start state flag)")
-    p.add_argument("--sizes", default="100,1000,10000",
-                   help="comma-separated host graph_space targets")
-    p.add_argument("--reps", type=int, default=5, help="timing repetitions")
-    p.set_defaults(func=_cmd_bench)
-
     p = sub.add_parser("space", help="tabulate run metrics over inputs")
     common(p, input_flag=False)
     p.add_argument("--inputs", required=True,
@@ -198,10 +168,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (OSError, ParseError, ValueError) as e:
+    except (OSError, ValueError) as e:  # InputError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (TMError, NullFailureViolation, SimulationError) as e:
+    except RunError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ from .encoding import BLUE, DASHED, GREEN, GREEN_I, RED
 from .graphs import EMPTY, Graph, Label
 from .lang import Loop, Program, parse_program
 from .rules import Rule
-from .turing import TuringMachine
+from .turing import TuringMachine, check_input
 
 MARK_L = Label("L")
 MARK_R = Label("R")
@@ -24,10 +24,6 @@ BLUE_ROOT = Label(None, "blue")
 RED_ROOT = Label(None, "red")
 
 DIGITS = (0, 1, 2)
-
-
-class EmptyInput(ValueError):
-    pass
 
 
 LISTING = """\
@@ -86,10 +82,7 @@ class _RB:
 
 def initial_graph(input: str, start: int = 0) -> Graph:
     """Central root plus the INPUT list and both green edges; no tape yet."""
-    if not input:
-        raise EmptyInput("input string is empty")
-    if set(input) - {"0", "1"}:
-        raise ValueError(f"input must be binary, got {input!r}")
+    check_input(input)
     g = Graph()
     central = g.add_node(Label(start), root=True)
     inp = [g.add_node(Label(int(ch))) for ch in input]

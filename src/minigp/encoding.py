@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from .errors import InputError, RunError
 from .graphs import EMPTY, Graph, Label
 from .turing import BLANK, TMConfiguration
 
@@ -34,20 +35,22 @@ RED = Label(None, "red")
 _CENTRAL_LABELS = (GREEN_I, GREEN, BLUE, DASHED, RED, EMPTY)
 
 
-class LengthMismatch(ValueError):
+class LengthMismatch(InputError):
     pass
 
 
-class OutOfRange(ValueError):
+class OutOfRange(InputError):
     pass
 
 
-class CapacityExceeded(ValueError):
+class CapacityExceeded(InputError):
     pass
 
 
-class MalformedConfigGraph(ValueError):
-    """The graph breaks the configuration schema; args[0] names how."""
+class MalformedConfigGraph(RunError):
+    """The graph breaks the configuration schema; args[0] names how.  In
+    the package `dec` reads only graphs the simulator produced, so this is
+    a failed run, not bad input."""
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from bisect import insort
 from typing import NamedTuple, Optional, Union
 
+from .errors import InputError, ParseError
+
 Atom = Union[int, str, None]
 
 NODE_MARKS = frozenset({None, "red", "green", "blue", "grey"})
@@ -20,10 +22,6 @@ class Label(NamedTuple):
 
 
 EMPTY = Label(None)
-
-
-class ParseError(ValueError):
-    """Malformed graph, rule or program text."""
 
 
 class Graph:
@@ -47,7 +45,7 @@ class Graph:
         if nid is None:
             nid = self.next_node_id
         if nid in self.nodes:
-            raise ValueError(f"node id {nid} already present")
+            raise InputError(f"node id {nid} already present")
         self.nodes[nid] = label
         self._out[nid] = []
         self._in[nid] = []
@@ -59,11 +57,11 @@ class Graph:
     def add_edge(self, src: int, tgt: int, label: Label = EMPTY, *,
                  eid: Optional[int] = None) -> int:
         if src not in self.nodes or tgt not in self.nodes:
-            raise ValueError(f"edge {src}->{tgt} references a missing node")
+            raise InputError(f"edge {src}->{tgt} references a missing node")
         if eid is None:
             eid = self.next_edge_id
         if eid in self.edges:
-            raise ValueError(f"edge id {eid} already present")
+            raise InputError(f"edge id {eid} already present")
         self.edges[eid] = (src, tgt, label)
         insort(self._out[src], eid)
         insort(self._in[tgt], eid)
@@ -77,7 +75,7 @@ class Graph:
 
     def remove_node(self, nid: int) -> None:
         if self._out[nid] or self._in[nid]:
-            raise ValueError(f"node {nid} still has incident edges")
+            raise InputError(f"node {nid} still has incident edges")
         del self.nodes[nid]
         del self._out[nid]
         del self._in[nid]
@@ -85,7 +83,7 @@ class Graph:
 
     def relabel_node(self, nid: int, label: Optional[Label]) -> None:
         if nid not in self.nodes:
-            raise ValueError(f"no node {nid}")
+            raise InputError(f"no node {nid}")
         self.nodes[nid] = label
 
     def relabel_edge(self, eid: int, label: Label) -> None:
@@ -94,7 +92,7 @@ class Graph:
 
     def set_root(self, nid: int, flag: bool = True) -> None:
         if nid not in self.nodes:
-            raise ValueError(f"no node {nid}")
+            raise InputError(f"no node {nid}")
         if flag:
             self.roots.add(nid)
         else:
@@ -209,7 +207,7 @@ def to_text(g: Graph) -> str:
     for nid in sorted(g.nodes):
         lab = g.nodes[nid]
         if lab is None:
-            raise ValueError(f"node {nid} is unlabelled; only labelled graphs serialize")
+            raise InputError(f"node {nid} is unlabelled; only labelled graphs serialize")
         parts = ["node", str(nid), atom_to_text(lab.atom)]
         if lab.mark is not None:
             parts.append(lab.mark)
@@ -265,7 +263,7 @@ def from_text(text: str) -> Graph:
             else:
                 raise ParseError(f"unknown item {toks[0]!r}")
         except (IndexError, ValueError) as exc:
-            if isinstance(exc, ParseError):
+            if isinstance(exc, InputError):
                 raise ParseError(f"line {lineno}: {exc}") from None
             raise ParseError(f"line {lineno}: cannot parse {line!r}") from None
     for lineno, eid, src, tgt, lab in pending:

@@ -1,29 +1,27 @@
-"""Lockstep verification, run metrics, and matching benchmarks.
+"""Lockstep verification and run metrics.
 
 `lockstep_verify` replays a machine against its compiled simulator one
 simulated transition at a time, decoding the host graph after every
 completed step.  `run_sim` runs the simulator to completion and collects
 size and time counters.  Both compile the machine and run its program once
-on one host graph through `_simulator`.  `bench_matching` times
-root-driven matching on configuration-graph hosts of growing size.
+on one host graph through `_simulator`.  `bench_host` builds the
+configuration-graph hosts of growing size that matching is measured on.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .compiler import gen_sim, initial_graph
 from .encoding import MalformedConfigGraph, dec, enc
+from .errors import InputError, RunError
 from .graphs import Graph, graph_space
 from .lang import (Done, ExecStats, Interp, Loop, NullFailureViolation,
                    Program)
-from .matching import match_all
-from .rules import Rule
-from .turing import (TMConfiguration, TMError, TuringMachine,
-                     initial_configuration, tm_run, tm_step)
+from .turing import (TMConfiguration, TuringMachine, initial_configuration,
+                     tm_run, tm_step)
 
 Trace = Callable[[int, TMConfiguration], None]
 
@@ -94,7 +92,7 @@ class VerifyReport:
                 and self.unique_match_ok and not self.errors)
 
 
-class SimulationError(RuntimeError):
+class SimulationError(RunError):
     """A full simulator run failed, or its outcome contradicts the machine."""
 
 
@@ -199,7 +197,7 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
     except NullFailureViolation as e:
         report.null_failure_ok = False
         report.errors.append(f"null failure: {e}")
-    except (TMError, MalformedConfigGraph) as e:  # TMError has BudgetExceeded
+    except RunError as e:
         report.errors.append(f"{type(e).__name__}: {e}")
     report.restarts = interp.stats.restarts
     report.unique_match_ok = interp.stats.match_multiplicity_max <= 1
@@ -256,13 +254,6 @@ def run_sim(m: TuringMachine, input: str, max_steps: int = 10_000, *,
     return metrics, got, g
 
 
-class BenchRow(NamedTuple):
-    graph_space: int
-    extensions: int
-    seconds: float
-    matches: int
-
-
 def bench_host(target_space: int, input: str = "1" + "0" * 19) -> Graph:
     """Smallest configuration graph of the benchmark family whose
     graph_space reaches the target: a fixed fresh configuration encoded
@@ -272,31 +263,4 @@ def bench_host(target_space: int, input: str = "1" + "0" * 19) -> Graph:
         g = enc(s, k)
         if graph_space(g) >= target_space:
             return g
-    raise ValueError(f"no benchmark host reaches graph_space {target_space}")
-
-
-def _best_of(f: Callable[[], object], reps: int) -> float:
-    best = math.inf
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        f()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def bench_matching(rule: Rule, host_sizes: Sequence[int], *, reps: int = 5,
-                   input: str = "1" + "0" * 19) -> list[BenchRow]:
-    """Time match_all for one rule over hosts of growing size.
-
-    Each row records the host's graph_space, the extension counter (which
-    stays flat for fast rules), and the best-of-reps wall time.
-    """
-    rows = []
-    plan = rule.plan()
-    for target in host_sizes:
-        g = bench_host(target, input)
-        found = match_all(plan, g)
-        seconds = _best_of(lambda: match_all(plan, g), reps)
-        rows.append(BenchRow(graph_space(g), found.extensions, seconds,
-                             len(found.matches)))
-    return rows
+    raise InputError(f"no benchmark host reaches graph_space {target_space}")

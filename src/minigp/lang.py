@@ -23,7 +23,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .graphs import Graph, ParseError, graph_space
+from .errors import InputError, ParseError, RunError
+from .graphs import Graph, graph_space
 from .rules import Rule, RuleSet, apply_ruleset
 from .turing import BudgetExceeded
 
@@ -40,7 +41,7 @@ class BreakOutsideLoop(ParseError):
     pass
 
 
-class NullFailureViolation(RuntimeError):
+class NullFailureViolation(RunError):
     """Efficient mode found a discarded-result subprogram that mutated."""
 
 
@@ -396,7 +397,7 @@ class Interp:
         apply_hook: Optional[Callable[[str, Graph], None]] = None,
     ):
         if mode not in ("semantic", "efficient"):
-            raise ValueError(f"unknown mode {mode!r}")
+            raise InputError(f"unknown mode {mode!r}")
         self.mode = mode
         self.max_rule_calls = max_rule_calls
         self.loop_hook = loop_hook
@@ -415,7 +416,7 @@ class Interp:
         self._note(g0)
         status = self._build(Seq(coms), {})(g0)
         if status is _BREAK:
-            raise RuntimeError("break escaped the program")
+            raise RunError("break escaped the program")
         return Done(g0) if status is _OK else Fail()
 
     def _build(self, com: Com, built: dict[Com, Runner]) -> Runner:
@@ -462,7 +463,7 @@ class Interp:
                 if status is _OK:
                     return then(G)
                 if status is _BREAK:
-                    raise RuntimeError("break escaped a condition")
+                    raise RunError("break escaped a condition")
                 return els(G)
             return branch
         if isinstance(com, Break):

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from random import Random
 
-from .turing import TMError, TuringMachine, tm_run
+from .errors import InputError, RunError
+from .turing import TuringMachine, tm_run
 
 
 def unary(n: int) -> str:
     if n < 1:
-        raise ValueError("unary arguments start at 1")
+        raise InputError("unary arguments start at 1")
     return "1" * (n - 1) + "0"
 
 
@@ -60,7 +61,7 @@ def counter_machine() -> TuringMachine:
 def counter_input(length: int) -> str:
     """An input of the given length that seeds a full-width count."""
     if length < 1:
-        raise ValueError("inputs have at least one symbol")
+        raise InputError("inputs have at least one symbol")
     return "0" * (length - 1) + "1"
 
 
@@ -103,7 +104,7 @@ def random_machine_pair(rng: Random, max_states: int = 4,
         input = "".join(rng.choice("01") for _ in range(rng.randint(3, 8)))
         try:
             _, steps, squares = tm_run(m, input, max_steps)
-        except TMError:
+        except RunError:
             continue
         if steps < 3 or squares > 81:
             continue

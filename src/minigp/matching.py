@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from .errors import InputError
 from .graphs import Graph, Label
 
 
-class NotFastRule(Exception):
+class NotFastRule(InputError):
     """Some left-hand-side node is unreachable from every root."""
 
     def __init__(self, node: int):

@@ -26,11 +26,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import graphs
+from .errors import InputError, ParseError, RunError
 from .graphs import Graph, Label
 from .matching import Match, SearchPlan, compile_plan, match_all, share
 
 
-class DanglingViolation(Exception):
+class DanglingViolation(RunError):
     """A deleted node would leave behind an incident host edge."""
 
 
@@ -104,9 +105,9 @@ class Rule:
     def __post_init__(self) -> None:
         for lv, rv in self.interface.items():
             if lv not in self.left.nodes or rv not in self.right.nodes:
-                raise ValueError(f"rule {self.name}: interface {lv}={rv} not in both sides")
+                raise InputError(f"rule {self.name}: interface {lv}={rv} not in both sides")
         if len(set(self.interface.values())) != len(self.interface):
-            raise ValueError(f"rule {self.name}: interface is not a bijection")
+            raise InputError(f"rule {self.name}: interface is not a bijection")
 
     def plan(self) -> SearchPlan:
         """The left side's search plan."""
@@ -264,7 +265,7 @@ def parse_rules(text: str) -> list[Rule]:
             return
         for side in ("left", "right"):
             if side not in blocks:
-                raise graphs.ParseError(f"rule {name}: missing {side} block")
+                raise ParseError(f"rule {name}: missing {side} block")
         rules.append(Rule(name, graphs.from_text("\n".join(blocks["left"])),
                           graphs.from_text("\n".join(blocks["right"])),
                           dict(interface)))
@@ -277,7 +278,7 @@ def parse_rules(text: str) -> list[Rule]:
         if toks[0] == "rule":
             finish()
             if len(toks) != 2:
-                raise graphs.ParseError(f"bad rule header {line!r}")
+                raise ParseError(f"bad rule header {line!r}")
             name, section, blocks, interface = toks[1], None, {}, {}
         elif toks[0] in ("left", "right") and len(toks) == 1:
             section = toks[0]
@@ -289,13 +290,13 @@ def parse_rules(text: str) -> list[Rule]:
                 try:
                     interface[int(lv)] = int(rv)
                 except ValueError:
-                    raise graphs.ParseError(f"bad interface pair {pair!r}") from None
+                    raise ParseError(f"bad interface pair {pair!r}") from None
         elif toks[0] == "end":
             finish()
             name, section = None, None
         elif section is not None:
             blocks[section].append(line)
         else:
-            raise graphs.ParseError(f"unexpected line {line!r}")
+            raise ParseError(f"unexpected line {line!r}")
     finish()
     return rules

@@ -3,20 +3,14 @@ read-write working tape over {0,1,2}, blank = 2."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
+
+from .errors import InputError, ParseError, RunError
 
 Move = str  # "L" | "R" | "S"
 
 BLANK = 2
-
-
-class TMError(Exception):
-    pass
-
-
-class ParseError(TMError):
-    pass
 
 
 class DuplicateTransition(ParseError):
@@ -27,15 +21,15 @@ class SymbolOutOfRange(ParseError):
     pass
 
 
-class HeadUnderflow(TMError):
+class HeadUnderflow(RunError):
     """A head stepped left of square 0: the machine is ill-formed."""
 
 
-class InputOverflow(TMError):
+class InputOverflow(RunError):
     """The input head stepped past the last input square."""
 
 
-class BudgetExceeded(TMError):
+class BudgetExceeded(RunError):
     """A run used up its budget: machine steps in `tm_run`, rule calls in
     the graph-program interpreter (`minigp.lang` re-exports this class)."""
 
@@ -73,9 +67,14 @@ class TMConfiguration:
         return max(self.work_head + 1, len(self.work))
 
 
-def initial_configuration(m: TuringMachine, input: str) -> TMConfiguration:
+def check_input(input: str) -> None:
+    """Reject anything but a nonempty string over 0/1."""
     if not input or set(input) - {"0", "1"}:
-        raise ValueError(f"input must be a nonempty binary string, got {input!r}")
+        raise InputError(f"input must be a nonempty string over 0/1, got {input!r}")
+
+
+def initial_configuration(m: TuringMachine, input: str) -> TMConfiguration:
+    check_input(input)
     return TMConfiguration(m.start, input, 0, "", 0)
 
 
@@ -121,17 +120,19 @@ def tm_run(m: TuringMachine, input: str, max_steps: int) -> tuple[TMConfiguratio
 
 def parse_tm(text: str) -> TuringMachine:
     """Parse `start:`/`accept:` headers plus `q a x -> p y D1 D2` lines."""
-    start = accept = None
+    states: dict[str, int] = {}
     delta: dict[tuple[int, int, int], tuple[int, int, Move, Move]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("start:"):
-            start = int(line.split(":", 1)[1])
-            continue
-        if line.startswith("accept:"):
-            accept = int(line.split(":", 1)[1])
+        header, colon, value = line.partition(":")
+        if colon and header in ("start", "accept"):
+            try:
+                states[header] = int(value)
+            except ValueError:
+                raise ParseError(f"line {lineno}: {header} state must be an "
+                                 f"integer, got {value.strip()!r}") from None
             continue
         lhs, arrow, rhs = line.partition("->")
         if not arrow:
@@ -151,9 +152,9 @@ def parse_tm(text: str) -> TuringMachine:
         if (q, a, x) in delta:
             raise DuplicateTransition(f"line {lineno}: duplicate for ({q},{a},{x})")
         delta[(q, a, x)] = (p, y, d1, d2)
-    if start is None or accept is None:
+    if "start" not in states or "accept" not in states:
         raise ParseError("missing start: or accept: header")
-    return TuringMachine(start, accept, delta)
+    return TuringMachine(states["start"], states["accept"], delta)
 
 
 def tm_to_text(m: TuringMachine) -> str:

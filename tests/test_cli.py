@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from minigp import harness
 from minigp.cli import main
 from minigp.lang import Fail, Interp
-from minigp.encoding import dec
+from minigp.encoding import MalformedConfigGraph, dec
 from minigp.graphs import from_text
 from minigp.machines import stamp_machine, unary
 from minigp.turing import tm_run
@@ -113,22 +114,6 @@ class TestGen:
 
 
 class TestBenchAndSpace:
-    def test_bench_rows(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", f"{FIXTURES}/ones.tm",
-                               "--sizes", "100,1000", "--reps", "1")
-        assert code == 0
-        header, *rows = out.strip().splitlines()
-        assert header == "graph_space,extensions,seconds"
-        assert len(rows) == 2
-        extensions = {row.split(",")[1] for row in rows}
-        assert len(extensions) == 1
-
-    def test_bench_unknown_rule(self, capsys):
-        code, _, err = run_cli(capsys, "bench", f"{FIXTURES}/ones.tm",
-                               "--rule", "NoSuchRule")
-        assert code == 2
-        assert "NoSuchRule" in err
-
     def test_space_table(self, capsys):
         code, out, _ = run_cli(capsys, "space", f"{FIXTURES}/stamp.tm",
                                "--inputs", "0,10")
@@ -139,7 +124,39 @@ class TestBenchAndSpace:
         assert lines[1].startswith("0,") and lines[2].startswith("10,")
 
 
+def undecodable(g):
+    raise MalformedConfigGraph("patched dec")
+
+
 class TestErrors:
+    @pytest.mark.parametrize("argv, broken_dec, code, message", [
+        (["exec", "no-such-file.tm", "--input", "1"], False, 2, "error:"),
+        (["exec", "{tmp}/latin1.tm", "--input", "1"], False, 2, "utf-8"),
+        (["exec", "{tmp}/header.tm", "--input", "1"], False, 2, "line 1"),
+        (["exec", "{fix}/count.tm", "--input", "21"], False, 2, "over 0/1"),
+        (["exec", "{fix}/count.tm", "--input", "00"], False, 1, "input head"),
+        (["run", "{fix}/stamp.tm", "--input", "0", "--max-rule-calls", "10"],
+         False, 1, "budget 10"),
+        (["run", "{fix}/stamp.tm", "--input", "0"], True, 1, "patched dec"),
+        (["run", "{fix}/stamp.tm", "--input", "0", "--trace"], True, 1,
+         "patched dec"),
+        (["verify", "{fix}/stamp.tm", "--input", "0"], True, 1, ""),
+        (["verify", "{fix}/stamp.tm", "--input", "0"], False, 0, ""),
+    ], ids=["missing-file", "not-utf8", "bad-header", "bad-input",
+            "input-overflow", "rule-budget", "run-undecodable",
+            "trace-undecodable", "verify-undecodable", "verify-clean"])
+    def test_exit_codes(self, capsys, monkeypatch, tmp_path, argv, broken_dec,
+                        code, message):
+        """2 for bad input or an unreadable file, 1 for a RunError."""
+        (tmp_path / "latin1.tm").write_bytes("start: 0 # é\n".encode("latin-1"))
+        (tmp_path / "header.tm").write_text("start: x\naccept: 1\n")
+        if broken_dec:
+            monkeypatch.setattr(harness, "dec", undecodable)
+        got, _, err = run_cli(capsys, *(a.format(tmp=tmp_path, fix=FIXTURES)
+                                        for a in argv))
+        assert got == code
+        assert message in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "exec", "no-such-file.tm",
                                "--input", "1")

@@ -9,12 +9,12 @@ from minigp.compiler import (
     GREEN_I,
     LISTING,
     RED,
-    EmptyInput,
     gen_sim,
     gen_transitions,
     initial_graph,
 )
 from minigp.encoding import MalformedConfigGraph, dec, enc
+from minigp.errors import InputError
 from minigp.graphs import Label, check_boundedness
 from minigp.lang import Done, If, Interp, Loop, Seq, Try, parse_program
 from minigp.machines import counter_input, counter_machine, filler_machine, unary
@@ -111,7 +111,7 @@ class TestInitialGraph:
         assert len(labs) == 2 and GREEN_I in labs and GREEN in labs
 
     def test_empty_input_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InputError, match="nonempty string over 0/1"):
             initial_graph("")
 
     def test_nonbinary_input_rejected(self):

@@ -230,7 +230,7 @@ class TestText:
             from_text("node 0 Q\n")
         with pytest.raises(ParseError):
             from_text("edge 0 0 1 _\n")  # endpoints missing
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="line 2: node id 0 already present"):
             from_text("node 0 1\nnode 0 2\n")
 
     def test_edge_before_node_lines(self):

@@ -1,10 +1,12 @@
 """Harness checks: lockstep verification against the reference machine,
-run metrics and their invariants, mode agreement, matching benchmarks,
-fixture machines, and the on-disk machine files."""
+run metrics and their invariants, mode agreement, benchmark hosts,
+fixture machines, the on-disk machine files, and the package's error
+hierarchy."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -13,12 +15,11 @@ from random import Random
 import pytest
 
 from minigp import harness, lang
-from minigp.compiler import gen_sim
+from minigp.errors import InputError, RunError
 from minigp.graphs import Graph, graph_space
 from minigp.harness import (
     SimulationError,
     bench_host,
-    bench_matching,
     lockstep_verify,
     metrics_lines,
     metrics_table,
@@ -217,15 +218,6 @@ class TestPatchedNames:
 
 
 class TestBench:
-    def test_extension_count_flat(self):
-        sim = gen_sim(TuringMachine(0, 1, {(0, 1, 2): (1, 1, "R", "R")}))
-        rows = bench_matching(sim.library["SetFlag"][0], [100, 1000, 5000],
-                              reps=2)
-        assert len({row.extensions for row in rows}) == 1
-        assert all(row.matches == 1 for row in rows)
-        assert [row.graph_space for row in rows] == \
-            sorted(row.graph_space for row in rows)
-
     def test_host_sizes_reach_targets(self):
         for target in (100, 1000, 10_000):
             assert graph_space(bench_host(target)) >= target
@@ -283,6 +275,32 @@ class TestTypedFailures:
             found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
         assert found == []
+
+    def test_one_error_hierarchy(self):
+        """Every package error is an InputError or a RunError, raised as
+        such rather than as a bare ValueError or RuntimeError."""
+        bare, parse_errors, unrooted = [], [], []
+        for path in sorted(PACKAGE.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                        else node.exc
+                    if isinstance(exc, ast.Name) and \
+                            exc.id in ("ValueError", "RuntimeError"):
+                        bare.append(f"{path.name}:{node.lineno}")
+                if isinstance(node, ast.ClassDef) and node.name == "ParseError":
+                    parse_errors.append(path.name)
+            module = importlib.import_module(f"minigp.{path.stem}")
+            for name, obj in vars(module).items():
+                if (isinstance(obj, type) and issubclass(obj, Exception)
+                        and obj.__module__ == module.__name__
+                        and obj is not harness._Abort
+                        and issubclass(obj, InputError) == issubclass(obj, RunError)):
+                    unrooted.append(f"{path.stem}.{name}")
+        assert bare == []
+        assert parse_errors == ["errors.py"]
+        assert unrooted == []
 
     def test_run_sim_divergence_raises(self, monkeypatch):
         def wrong_final(m, input, max_steps):

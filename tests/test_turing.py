@@ -161,3 +161,11 @@ accept: 5
             parse_tm("start: 0\naccept: 1\n0 1 -> 1 1 S S")
         with pytest.raises(ParseError):
             parse_tm("start: 0\naccept: 1\nnot a rule")
+
+    @pytest.mark.parametrize("text, where", [
+        ("start: x\naccept: 1\n", "line 1: start"),
+        ("# comment\nstart: 0\naccept: 1.5\n", "line 3: accept"),
+    ], ids=["start", "accept"])
+    def test_non_integer_header(self, text, where):
+        with pytest.raises(ParseError, match=where):
+            parse_tm(text)
