@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import graphs
-from .compiler import gen_sim
+from .compiler import LISTING, gen_sim
 from .errors import RunError
 from .harness import (Trace, lockstep_verify, metrics_lines, metrics_table,
                       run_sim)
@@ -91,7 +91,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     sim = gen_sim(_load(args.tm_file))
-    print(sim.listing.rstrip("\n"))
+    print(LISTING.rstrip("\n"))
     print()
     print(REPAIR_NOTE)
     print()
@@ -116,48 +116,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate Turing machines by rooted graph rewriting.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, *, input_flag: bool = True,
-               run_flags: bool = False) -> None:
+    flags = {
+        "--input": dict(required=True, help="input string over 0/1"),
+        "--max-steps": dict(type=int, default=10_000,
+                            help="machine step budget (default 10000)"),
+        "--mode": dict(choices=("semantic", "efficient"), default="efficient",
+                       help="interpreter mode (default efficient)"),
+        "--trace": dict(action="store_true",
+                        help="stream decoded configurations per step"),
+        "--max-rule-calls": dict(type=int, default=None,
+                                 help="abort after this many rule calls"),
+    }
+    run_flags = tuple(flags)
+
+    def common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("tm_file", help="machine description file")
-        if input_flag:
-            p.add_argument("--input", required=True,
-                           help="input string over 0/1")
-            p.add_argument("--max-steps", type=int, default=10_000,
-                           help="machine step budget (default 10000)")
-        if run_flags:
-            p.add_argument("--mode", choices=("semantic", "efficient"),
-                           default="efficient",
-                           help="interpreter mode (default efficient)")
-            p.add_argument("--trace", action="store_true",
-                           help="stream decoded configurations per step")
-            p.add_argument("--max-rule-calls", type=int, default=None,
-                           help="abort after this many rule calls")
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p = sub.add_parser("exec", help="run the reference machine")
-    common(p)
+    common(p, "--input", "--max-steps")
     p.set_defaults(func=_cmd_exec)
 
     p = sub.add_parser("run", help="run the compiled simulator")
-    common(p, run_flags=True)
+    common(p, *run_flags)
     p.add_argument("--dump-graph", metavar="PATH",
                    help="write the final graph in the text format")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("verify", help="check simulator against machine")
-    common(p, run_flags=True)
+    common(p, *run_flags)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="print the generated program and rules")
-    common(p, input_flag=False)
+    common(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("space", help="tabulate run metrics over inputs")
-    common(p, input_flag=False)
+    common(p, "--max-steps", "--mode")
     p.add_argument("--inputs", required=True,
                    help="comma-separated input strings")
-    p.add_argument("--max-steps", type=int, default=10_000)
-    p.add_argument("--mode", choices=("semantic", "efficient"),
-                   default="efficient")
     p.set_defaults(func=_cmd_space)
     return parser
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encoding import BLUE, DASHED, GREEN, GREEN_I, RED
+from .encoding import BLUE, DASHED, GREEN, GREEN_I, RED, EncodingParams
 from .graphs import EMPTY, Graph, Label
 from .lang import Loop, Program, parse_program
 from .rules import Rule
@@ -95,7 +95,8 @@ def initial_graph(input: str, start: int = 0) -> Graph:
 
 
 def _setup(start: int) -> Rule:
-    b, c = 9, 2
+    level = EncodingParams(0)
+    b, c = level.b, level.c
     r = _RB("setup")
     central = r.node(Label(start), root=True)
     blocks = [r.new(EMPTY) for _ in range(b)]
@@ -428,13 +429,11 @@ def _unroot() -> Rule:
 
 @dataclass
 class SimProgram:
-    """A compiled simulator: parsed program, its rule library, the listing
-    text, the source machine, and the two loops the harness hooks into."""
+    """A compiled simulator: parsed program, its rule library, and the two
+    loops the harness hooks into."""
 
     program: Program
     library: dict[str, list[Rule]]
-    listing: str
-    machine: TuringMachine
     simulate_loop: Loop
     outer_loop: Loop
 
@@ -505,4 +504,4 @@ def gen_sim(m: TuringMachine) -> SimProgram:
     program = parse_program(LISTING, lib)
     outer = program.main[1]
     simulate = outer.body.parts[0]
-    return SimProgram(program, lib, LISTING, m, simulate, outer)
+    return SimProgram(program, lib, simulate, outer)

@@ -86,10 +86,6 @@ class Graph:
             raise InputError(f"no node {nid}")
         self.nodes[nid] = label
 
-    def relabel_edge(self, eid: int, label: Label) -> None:
-        src, tgt, _ = self.edges[eid]
-        self.edges[eid] = (src, tgt, label)
-
     def set_root(self, nid: int, flag: bool = True) -> None:
         if nid not in self.nodes:
             raise InputError(f"no node {nid}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .compiler import gen_sim, initial_graph
-from .encoding import MalformedConfigGraph, dec, enc
+from .encoding import EncodingParams, MalformedConfigGraph, dec, enc
 from .errors import InputError, RunError
 from .graphs import Graph, graph_space
 from .lang import (Done, ExecStats, Interp, Loop, NullFailureViolation,
@@ -234,9 +234,9 @@ def run_sim(m: TuringMachine, input: str, max_steps: int = 10_000, *,
     if got != final:
         raise SimulationError("simulated final configuration diverged")
     st = interp.stats
-    c = k + 2
-    if st.restarts != c - 2:
+    if st.restarts != k:
         raise SimulationError("levels climbed and restarts disagree")
+    level = EncodingParams(k)
     bits = math.ceil(math.log2(st.peak_nodes)) if st.peak_nodes > 1 else 0
     metrics = Metrics(
         rule_calls=st.rule_calls,
@@ -244,8 +244,8 @@ def run_sim(m: TuringMachine, input: str, max_steps: int = 10_000, *,
         restarts=st.restarts,
         peak_graph_space=st.peak_graph_space,
         tape_squares_used=squares,
-        final_c=c,
-        final_b=3 ** c,
+        final_c=level.c,
+        final_b=level.b,
         uniform_space=st.peak_graph_space,
         log_space=st.peak_nodes * bits,
         peak_nodes=st.peak_nodes,

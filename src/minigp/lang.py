@@ -11,9 +11,10 @@ discard.  Every command carries effect flags, computed bottom-up when it
 is built, that say whether a discarded run of it could have changed the
 host.  Semantic mode snapshots the host only before such a run and
 restores the snapshot into it when the result is discarded; efficient mode
-takes no snapshot and insists it would have been pointless (no mutation on
-any path whose result gets discarded).  Peak graph space is noted only
-after rules that can raise it (`Rule.may_grow`).
+takes no snapshot and, at those same sites, insists it would have been
+pointless (no mutation on any path whose result gets discarded).  At every
+other site both modes run the subprogram bare.  Peak graph space is noted
+only after rules that can raise it (`Rule.may_grow`).
 """
 
 from __future__ import annotations
@@ -145,7 +146,6 @@ class Break(Com):
 class Program:
     main: tuple[Com, ...]
     procedures: dict[str, tuple[Com, ...]]
-    library: dict[str, tuple[Rule, ...]]
 
 
 @dataclass(frozen=True)
@@ -371,7 +371,7 @@ def parse_program(text: str, library: Mapping[str, object], entry: str = "Main")
         builder.procedure(name)
     main = builder.built[entry]
     _check_breaks(main, False)
-    return Program(main, builder.built, lib)
+    return Program(main, builder.built)
 
 
 class Interp:
@@ -382,7 +382,8 @@ class Interp:
     several call sites is built once) becomes one function from the host to
     its status; the mode, each site's `needs_snapshot`, the rule-call budget
     and both hooks are read when it is built.  Both modes rewrite the one
-    host graph in place and differ only at critical sites (`_critical`).
+    host graph in place and differ only at critical sites whose
+    `needs_snapshot` is set (`_critical`).
     `loop_hook(loop, graph, stats)` fires after each completed
     (non-breaking, non-failing) iteration, `apply_hook(rule_name, graph)`
     after each applied rule.
@@ -474,17 +475,16 @@ class Interp:
                   failed: str) -> Runner:
         """Wrap run, a condition or loop body.  The host keeps the run's
         changes after a break, or after success if keep; otherwise the run
-        is discarded.  Semantic mode discards by restoring a snapshot taken
-        before the run if snapshot, the site's `needs_snapshot`; otherwise
+        is discarded.  Unless snapshot, the site's `needs_snapshot`, is set,
         the effect flags prove that a discarded run left the host unchanged,
-        and run is returned bare.  In efficient mode a discarded run that
-        mutated raises failed (after a failure) or the if-condition message
-        (after a success)."""
+        and run is returned bare in both modes.  Otherwise semantic mode
+        discards by restoring a snapshot taken before the run, and in
+        efficient mode a discarded run that mutated raises failed (after a
+        failure) or the if-condition message (after a success)."""
+        if not snapshot:
+            return run
         stats = self.stats
         if self.mode == "semantic":
-            if not snapshot:
-                return run
-
             def restoring(G: Graph) -> str:
                 stats.snapshots += 1
                 saved = G.copy()

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import graphs
-from .errors import InputError, ParseError, RunError
+from .errors import InputError, RunError
 from .graphs import Graph, Label
 from .matching import Match, SearchPlan, compile_plan, match_all, share
 
@@ -251,52 +251,3 @@ def rules_to_text(rules: list[Rule]) -> str:
         out.append("end")
     return "\n".join(out) + "\n"
 
-
-def parse_rules(text: str) -> list[Rule]:
-    """Parse the rules_to_text format; round-trips exactly."""
-    rules: list[Rule] = []
-    name = None
-    section = None
-    blocks: dict[str, list[str]] = {}
-    interface: dict[int, int] = {}
-
-    def finish():
-        if name is None:
-            return
-        for side in ("left", "right"):
-            if side not in blocks:
-                raise ParseError(f"rule {name}: missing {side} block")
-        rules.append(Rule(name, graphs.from_text("\n".join(blocks["left"])),
-                          graphs.from_text("\n".join(blocks["right"])),
-                          dict(interface)))
-
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] == "rule":
-            finish()
-            if len(toks) != 2:
-                raise ParseError(f"bad rule header {line!r}")
-            name, section, blocks, interface = toks[1], None, {}, {}
-        elif toks[0] in ("left", "right") and len(toks) == 1:
-            section = toks[0]
-            blocks[section] = []
-        elif toks[0] == "interface":
-            section = None
-            for pair in toks[1:]:
-                lv, _, rv = pair.partition("=")
-                try:
-                    interface[int(lv)] = int(rv)
-                except ValueError:
-                    raise ParseError(f"bad interface pair {pair!r}") from None
-        elif toks[0] == "end":
-            finish()
-            name, section = None, None
-        elif section is not None:
-            blocks[section].append(line)
-        else:
-            raise ParseError(f"unexpected line {line!r}")
-    finish()
-    return rules

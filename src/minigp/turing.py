@@ -156,9 +156,3 @@ def parse_tm(text: str) -> TuringMachine:
         raise ParseError("missing start: or accept: header")
     return TuringMachine(states["start"], states["accept"], delta)
 
-
-def tm_to_text(m: TuringMachine) -> str:
-    lines = [f"start: {m.start}", f"accept: {m.accept}"]
-    for (q, a, x), (p, y, d1, d2) in sorted(m.delta.items()):
-        lines.append(f"{q} {a} {x} -> {p} {y} {d1} {d2}")
-    return "\n".join(lines) + "\n"

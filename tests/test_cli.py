@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -103,6 +104,15 @@ class TestRunAndExec:
         assert "final_b=9" in out
 
 
+GEN_SHA256 = {
+    "count": "a7c6e32eb8b31c15865c79d8a49f1a7d33149dfa45cc044bae178d897ec5e818",
+    "empty": "d4688c4b1e18c6bd011fd22d7df75273d376f1cdc29bdbea13f2c8d5a5184ac9",
+    "filler": "13b40e1d794a61a5d529267fb27377d58b4a5ffb326650d07cb9baaeb653c641",
+    "ones": "6fbdc6f5940c63e4cfe50f72cf3d950fee9ee02aa13f953a9cd58693cb8a6b0d",
+    "stamp": "c5f21500b5a019e116be64be29995bc550de8492a5214f6ceaca1248bcb3e5aa",
+}
+
+
 class TestGen:
     def test_listing_then_rules(self, capsys):
         code, out, _ = run_cli(capsys, "gen", f"{FIXTURES}/empty.tm")
@@ -112,8 +122,24 @@ class TestGen:
         assert "rule setup" in out
         assert "interface" in out
 
+    @pytest.mark.parametrize("path", sorted(Path(FIXTURES).glob("*.tm")),
+                             ids=lambda p: p.stem)
+    def test_output_pinned(self, capsys, path):
+        """The sha256 of the whole gen output, for every fixture machine."""
+        code, out, _ = run_cli(capsys, "gen", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GEN_SHA256[path.stem]
+
 
 class TestBenchAndSpace:
+    def test_space_help_shows_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["space", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "(default efficient)" in out
+        assert "(default 10000)" in out
+
     def test_space_table(self, capsys):
         code, out, _ = run_cli(capsys, "space", f"{FIXTURES}/stamp.tm",
                                "--inputs", "0,10")

@@ -91,7 +91,7 @@ def _cache_digits(g):
 
 
 def _entry(sim, name):
-    return parse_program(sim.listing, sim.library, entry=name)
+    return parse_program(LISTING, sim.library, entry=name)
 
 
 class TestInitialGraph:

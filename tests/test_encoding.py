@@ -229,7 +229,7 @@ def spoil(rng, g, kind):
     if kind == "relabel node":
         g.relabel_node(rng.choice(nodes), rng.choice(NODE_LABELS))
     elif kind == "relabel edge":
-        g.relabel_edge(e, rng.choice(EDGE_LABELS))
+        g.edges[e] = (src, tgt, rng.choice(EDGE_LABELS))
     elif kind == "retarget edge":
         g.remove_edge(e)
         g.add_edge(src, rng.choice(nodes), lab)

@@ -177,7 +177,9 @@ class TestMutation:
         g.add_edge(ids[2], x)
         g.remove_edge(g.out_edges(ids[1])[0])
         g.relabel_node(ids[1], Label(7, "red"))
-        g.relabel_edge(g.out_edges(ids[0])[0], Label(1))
+        e = g.out_edges(ids[0])[0]
+        src, tgt, _ = g.edges[e]
+        g.edges[e] = (src, tgt, Label(1))
         g.set_root(ids[0], False)
         g.set_root(ids[2])
         assert g != want

@@ -486,6 +486,14 @@ class TestEffects:
             pass
         assert eff.stats.snapshots == 0
 
+    @pytest.mark.parametrize("mode", ["semantic", "efficient"])
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_snapshot_free_site_runs_bare(self, mode, keep):
+        def run(G):
+            return _OK
+        interp = Interp(mode=mode)
+        assert interp._critical(run, keep, False, "unused") is run
+
 
 class TestBreakEscape:
     """The parser rejects these placements; hand-built ASTs still reach run."""
@@ -607,8 +615,8 @@ def test_run_agrees_with_step_on_random_programs():
 class SiteCheck(Interp):
     """Interp that checks each critical run against its site's
     needs_snapshot: a discarded run without a snapshot must leave the host
-    as it found it (semantic mode), and NullFailureViolation must come from
-    a site that needs one (efficient mode).  Loop iterations are budgeted
+    as it found it (both modes), and NullFailureViolation must come from a
+    site that needs one (efficient mode).  Loop iterations are budgeted
     as in observe."""
 
     def __init__(self, **kw):
@@ -642,8 +650,9 @@ class SiteCheck(Interp):
 
 def test_snapshot_free_sites_never_raise_null_failure():
     """On random programs, efficient mode raises NullFailureViolation only
-    from a site that needs a snapshot, and semantic mode's discarded runs
-    without a snapshot change nothing."""
+    from a site that needs a snapshot, and in both modes a discarded run at
+    a site without one changes nothing.  Efficient mode runs such sites
+    unchecked, so this is the only guard there."""
     rng = Random(20261019)
     skipped = {"semantic": 0, "efficient": 0}
     raised = 0

@@ -17,7 +17,6 @@ from minigp.turing import (
     parse_tm,
     tm_run,
     tm_step,
-    tm_to_text,
 )
 
 
@@ -129,8 +128,8 @@ accept: 5
         m = parse_tm(self.TEXT)
         assert m.start == 0
         assert m.accept == 5
-        assert m.delta[(0, 1, 2)] == (1, 1, "S", "R")
-        assert parse_tm(tm_to_text(m)) == m
+        assert m.delta == {(0, 1, 2): (1, 1, "S", "R"),
+                           (1, 0, 2): (5, 2, "R", "S")}
 
     def test_states(self):
         m = parse_tm(self.TEXT)
