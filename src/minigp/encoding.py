@@ -99,15 +99,6 @@ def content_digits(v: int, c: int) -> list[int]:
     return out[::-1]
 
 
-def min_k(s: TMConfiguration) -> int:
-    """Smallest k whose capacity covers the used work squares."""
-    need = max(len(s.work), s.work_head + 1)
-    k = 0
-    while EncodingParams(k).capacity < need:
-        k += 1
-    return k
-
-
 def _chain(first: int, length: int) -> list[tuple[int, int, Label]]:
     """Red edges rightward and blue edges back along the nodes first,
     first+1, ..., first+length-1, in the order enc adds them."""

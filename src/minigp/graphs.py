@@ -24,12 +24,35 @@ class Label(NamedTuple):
 EMPTY = Label(None)
 
 
+# Opcodes of the journal's undo records.  A record is (opcode, id, old):
+# the node or edge id, and the removed edge's triple or the node's former
+# label (None for an addition).
+_ADDED_NODE, _ADDED_EDGE, _REMOVED_EDGE, _REMOVED_NODE, _RELABELLED = range(5)
+
+
+class Mark(NamedTuple):
+    """A point to roll a graph back to: the journal length, both id
+    counters and a copy of the roots, which `rules.apply` edits directly."""
+
+    at: int
+    next_node_id: int
+    next_edge_id: int
+    roots: set[int]
+
+
 class Graph:
     """Mutable graph value.  Node and edge ids are opaque ints, allocated
     monotonically and never reused, so iteration in ascending id order is
-    stable across mutations."""
+    stable across mutations.
 
-    __slots__ = ("nodes", "edges", "roots", "_out", "_in", "next_node_id", "next_edge_id")
+    Between `mark` and the matching `release` the graph keeps an undo
+    journal: each primitive mutation (adding or removing a node or an edge,
+    relabelling a node) appends one record, and `rollback` pops them in
+    reverse.  Windows nest; the journal closes when the outermost one is
+    released, so a graph outside any window records nothing."""
+
+    __slots__ = ("nodes", "edges", "roots", "_out", "_in", "next_node_id", "next_edge_id",
+                 "_log", "_windows")
 
     def __init__(self) -> None:
         self.nodes: dict[int, Optional[Label]] = {}
@@ -39,6 +62,8 @@ class Graph:
         self._in: dict[int, list[int]] = {}
         self.next_node_id = 0
         self.next_edge_id = 0
+        self._log: Optional[list[tuple]] = None
+        self._windows = 0
 
     def add_node(self, label: Optional[Label] = EMPTY, *, root: bool = False,
                  nid: Optional[int] = None) -> int:
@@ -52,6 +77,8 @@ class Graph:
         if root:
             self.roots.add(nid)
         self.next_node_id = max(self.next_node_id, nid + 1)
+        if self._log is not None:
+            self._log.append((_ADDED_NODE, nid, None))
         return nid
 
     def add_edge(self, src: int, tgt: int, label: Label = EMPTY, *,
@@ -66,24 +93,32 @@ class Graph:
         insort(self._out[src], eid)
         insort(self._in[tgt], eid)
         self.next_edge_id = max(self.next_edge_id, eid + 1)
+        if self._log is not None:
+            self._log.append((_ADDED_EDGE, eid, None))
         return eid
 
     def remove_edge(self, eid: int) -> None:
-        src, tgt, _ = self.edges.pop(eid)
-        self._out[src].remove(eid)
-        self._in[tgt].remove(eid)
+        edge = self.edges.pop(eid)
+        self._out[edge[0]].remove(eid)
+        self._in[edge[1]].remove(eid)
+        if self._log is not None:
+            self._log.append((_REMOVED_EDGE, eid, edge))
 
     def remove_node(self, nid: int) -> None:
         if self._out[nid] or self._in[nid]:
             raise InputError(f"node {nid} still has incident edges")
-        del self.nodes[nid]
+        label = self.nodes.pop(nid)
         del self._out[nid]
         del self._in[nid]
         self.roots.discard(nid)
+        if self._log is not None:
+            self._log.append((_REMOVED_NODE, nid, label))
 
     def relabel_node(self, nid: int, label: Optional[Label]) -> None:
         if nid not in self.nodes:
             raise InputError(f"no node {nid}")
+        if self._log is not None:
+            self._log.append((_RELABELLED, nid, self.nodes[nid]))
         self.nodes[nid] = label
 
     def set_root(self, nid: int, flag: bool = True) -> None:
@@ -110,6 +145,8 @@ class Graph:
         g._in = {v: list(es) for v, es in self._in.items()}
         g.next_node_id = self.next_node_id
         g.next_edge_id = self.next_edge_id
+        g._log = None
+        g._windows = 0
         return g
 
     def restore(self, saved: Graph) -> None:
@@ -122,6 +159,56 @@ class Graph:
         self._in = saved._in
         self.next_node_id = saved.next_node_id
         self.next_edge_id = saved.next_edge_id
+
+    def mark(self) -> Mark:
+        """Open a window, and the journal if none is open; end it with
+        `release`, after a `rollback` to this mark or not."""
+        if self._log is None:
+            self._log = []
+        self._windows += 1
+        return Mark(len(self._log), self.next_node_id, self.next_edge_id,
+                    set(self.roots))
+
+    def rollback(self, mark: Mark) -> None:
+        """Undo every mutation since mark, in reverse, and restore the id
+        counters and the roots; mark's roots are adopted, so roll back to a
+        mark at most once."""
+        log = self._journal(mark)
+        nodes, edges, out, inn = self.nodes, self.edges, self._out, self._in
+        for op, item, old in reversed(log[mark.at:]):
+            if op == _REMOVED_EDGE:
+                edges[item] = old
+                insort(out[old[0]], item)
+                insort(inn[old[1]], item)
+            elif op == _ADDED_EDGE:
+                src, tgt, _ = edges.pop(item)
+                out[src].remove(item)
+                inn[tgt].remove(item)
+            elif op == _RELABELLED:
+                nodes[item] = old
+            elif op == _REMOVED_NODE:
+                nodes[item] = old
+                out[item] = []
+                inn[item] = []
+            else:
+                del nodes[item], out[item], inn[item]
+        del log[mark.at:]
+        self.next_node_id = mark.next_node_id
+        self.next_edge_id = mark.next_edge_id
+        self.roots = mark.roots
+
+    def release(self, mark: Mark) -> None:
+        """End the window mark opened, keeping its changes; the journal
+        closes with the outermost window."""
+        self._journal(mark)
+        self._windows -= 1
+        if not self._windows:
+            self._log = None
+
+    def _journal(self, mark: Mark) -> list[tuple]:
+        if self._log is None or not 0 <= mark.at <= len(self._log):
+            raise InputError(f"no open journal reaches back to {mark.at}")
+        return self._log
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -139,45 +226,6 @@ class Graph:
 def graph_space(g: Graph) -> int:
     """Number of nodes plus number of edges."""
     return len(g.nodes) + len(g.edges)
-
-
-def validate_host_graph(g: Graph) -> list[str]:
-    """Every violated host-graph invariant, as `code:id` strings; [] means valid."""
-    bad = []
-    for nid in sorted(g.nodes):
-        lab = g.nodes[nid]
-        if lab is None:
-            bad.append(f"node-not-labelled:{nid}")
-            continue
-        if not (lab.atom is None or isinstance(lab.atom, int) or lab.atom in CHAR_ATOMS):
-            bad.append(f"unknown-atom:{nid}")
-        if lab.mark == "dashed":
-            bad.append(f"dashed-on-node:{nid}")
-        elif lab.mark not in NODE_MARKS:
-            bad.append(f"unknown-mark:{nid}")
-    for eid in sorted(g.edges):
-        src, tgt, lab = g.edges[eid]
-        if src not in g.nodes:
-            bad.append(f"dangling-src:{eid}")
-        if tgt not in g.nodes:
-            bad.append(f"dangling-tgt:{eid}")
-        if not (lab.atom is None or isinstance(lab.atom, int) or lab.atom in CHAR_ATOMS):
-            bad.append(f"unknown-atom:{eid}")
-        if lab.mark == "grey":
-            bad.append(f"grey-on-edge:{eid}")
-        elif lab.mark not in EDGE_MARKS:
-            bad.append(f"unknown-mark:{eid}")
-    for nid in sorted(g.roots):
-        if nid not in g.nodes:
-            bad.append(f"root-not-node:{nid}")
-    return bad
-
-
-def check_boundedness(g: Graph, max_outdegree: int, max_roots: int) -> bool:
-    """True iff every outdegree is at most max_outdegree and |roots| <= max_roots."""
-    if len(g.roots) > max_roots:
-        return False
-    return all(len(es) <= max_outdegree for es in g._out.values())
 
 
 def atom_to_text(atom: Atom) -> str:

@@ -4,8 +4,7 @@
 simulated transition at a time, decoding the host graph after every
 completed step.  `run_sim` runs the simulator to completion and collects
 size and time counters.  Both compile the machine and run its program once
-on one host graph through `_simulator`.  `bench_host` builds the
-configuration-graph hosts of growing size that matching is measured on.
+on one host graph through `_simulator`.
 """
 
 from __future__ import annotations
@@ -15,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .compiler import gen_sim, initial_graph
-from .encoding import EncodingParams, MalformedConfigGraph, dec, enc
-from .errors import InputError, RunError
-from .graphs import Graph, graph_space
+from .encoding import EncodingParams, MalformedConfigGraph, dec
+from .errors import RunError
+from .graphs import Graph
 from .lang import (Done, ExecStats, Interp, Loop, NullFailureViolation,
                    Program)
 from .turing import (TMConfiguration, TuringMachine, initial_configuration,
@@ -253,14 +252,3 @@ def run_sim(m: TuringMachine, input: str, max_steps: int = 10_000, *,
     )
     return metrics, got, g
 
-
-def bench_host(target_space: int, input: str = "1" + "0" * 19) -> Graph:
-    """Smallest configuration graph of the benchmark family whose
-    graph_space reaches the target: a fixed fresh configuration encoded
-    at growing capacity levels."""
-    s = TMConfiguration(0, input, 0, "", 0)
-    for k in range(16):
-        g = enc(s, k)
-        if graph_space(g) >= target_space:
-            return g
-    raise InputError(f"no benchmark host reaches graph_space {target_space}")

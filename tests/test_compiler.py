@@ -15,7 +15,7 @@ from minigp.compiler import (
 )
 from minigp.encoding import MalformedConfigGraph, dec, enc
 from minigp.errors import InputError
-from minigp.graphs import Label, check_boundedness
+from minigp.graphs import Graph, Label
 from minigp.lang import Done, If, Interp, Loop, Seq, Try, parse_program
 from minigp.machines import counter_input, counter_machine, filler_machine, unary
 from minigp.matching import edge_enumerations
@@ -26,7 +26,7 @@ from minigp.turing import (
     initial_configuration,
     tm_run,
 )
-from util import run_program
+from util import check_boundedness, run_program
 
 EMPTY_M = TuringMachine(0, 0, {})
 ONES = TuringMachine(0, 1, {
@@ -371,3 +371,49 @@ class TestBacktracking:
         cfg = interp.run(gen_sim(m).program, initial_graph(inp, m.start))
         assert isinstance(cfg, Done)
         assert interp.stats.snapshots == snapshots
+
+    # copies is restarts + 1: filler unary(4) restarts twice.
+    @pytest.mark.parametrize("make, inp, copies", [
+        (filler_machine, unary(4), 3),
+        (counter_machine, counter_input(8), 1),
+    ])
+    def test_journal_stays_within_graph_space(self, monkeypatch, make, inp,
+                                              copies):
+        """The paper's O(s(n)) space: semantic mode copies the host once per
+        pass of the outer loop (restarts + 1), and every save nested in
+        that pass rolls back from a journal that stays within a constant
+        times the peak graph space."""
+        longest = marks = 0
+        mark = Graph.mark
+
+        def marking(G):
+            nonlocal marks
+            marks += 1
+            return mark(G)
+
+        def measuring(method):
+            def measured(G, m):
+                nonlocal longest
+                longest = max(longest, len(G._log))
+                method(G, m)
+            return measured
+        monkeypatch.setattr(Graph, "mark", marking)
+        for name in ("rollback", "release"):
+            monkeypatch.setattr(Graph, name, measuring(getattr(Graph, name)))
+        m = make()
+        interp = Interp(mode="semantic")
+        interp.run(gen_sim(m).program, initial_graph(inp, m.start))
+        st = interp.stats
+        assert st.copies == copies
+        assert marks == st.snapshots - st.copies
+        assert 0 < longest <= 5 * st.peak_graph_space
+
+    def test_efficient_mode_opens_no_journal(self, monkeypatch):
+        def marking(G):
+            raise AssertionError("efficient mode opened a journal")
+        monkeypatch.setattr(Graph, "mark", marking)
+        m = counter_machine()
+        interp = Interp(mode="efficient")
+        cfg = interp.run(gen_sim(m).program, initial_graph(counter_input(8), m.start))
+        assert isinstance(cfg, Done)
+        assert interp.stats.copies == 0

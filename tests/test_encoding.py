@@ -22,11 +22,11 @@ from minigp.encoding import (
     content_digits,
     dec,
     enc,
-    min_k,
 )
-from minigp.graphs import Label, check_boundedness, graph_space, to_text, validate_host_graph
+from minigp.graphs import Label, graph_space, to_text
 from minigp.turing import TMConfiguration
-from util import dec_reference, enc_reference
+from util import (check_boundedness, dec_reference, enc_reference, min_k,
+                  validate_host_graph)
 
 
 def config(state=0, input="10", input_head=0, work="", work_head=0):

@@ -1,18 +1,22 @@
-"""Graph value type: validity, space, boundedness, serialization."""
+"""Graph value type: validity, space, boundedness, snapshots and the undo
+journal, serialization."""
+
+from random import Random
 
 import pytest
 
+from minigp.errors import InputError
 from minigp.graphs import (
     EMPTY,
     Graph,
     Label,
     ParseError,
-    check_boundedness,
     from_text,
     graph_space,
     to_text,
-    validate_host_graph,
 )
+from util import (EDGE_MARKS, FULL_ATOMS, NODE_MARKS, check_boundedness,
+                  random_graph, validate_host_graph)
 
 
 def chain(n, label=EMPTY):
@@ -23,6 +27,59 @@ def chain(n, label=EMPTY):
         g.add_edge(a, b, Label(None, "red"))
         g.add_edge(b, a, Label(None, "blue"))
     return g, ids
+
+
+def assert_same(g, want):
+    """g equals want item for item, down to adjacency order, roots and id
+    counters."""
+    assert to_text(g) == to_text(want)
+    assert g.roots == want.roots
+    assert sorted(g.nodes) == sorted(want.nodes)
+    assert all(g.out_edges(v) == want.out_edges(v)
+               and g.in_edges(v) == want.in_edges(v) for v in want.nodes)
+    assert (g.next_node_id, g.next_edge_id) == \
+        (want.next_node_id, want.next_edge_id)
+
+
+def mutate(rng, g):
+    """One random primitive mutation, or a root edit as `rules.apply`
+    makes it."""
+    nodes, edges = sorted(g.nodes), sorted(g.edges)
+    label = Label(rng.choice(FULL_ATOMS), rng.choice(NODE_MARKS))
+    kind = rng.randrange(6)
+    if kind == 0 or not nodes:
+        g.add_node(label, root=rng.random() < 0.3)
+    elif kind == 1:
+        g.add_edge(rng.choice(nodes), rng.choice(nodes),
+                   Label(rng.choice(FULL_ATOMS), rng.choice(EDGE_MARKS)))
+    elif kind == 2 and edges:
+        g.remove_edge(rng.choice(edges))
+    elif kind == 3:
+        v = rng.choice(nodes)
+        for e in list(g.out_edges(v)) + list(g.in_edges(v)):
+            if e in g.edges:
+                g.remove_edge(e)
+        g.remove_node(v)
+    elif kind == 4:
+        g.relabel_node(rng.choice(nodes), label)
+    elif rng.random() < 0.5:
+        g.roots.add(rng.choice(nodes))
+    else:
+        g.roots.discard(rng.choice(nodes))
+
+
+def nested(rng, g):
+    """A window of random mutations, itself possibly nesting one, that is
+    rolled back or kept."""
+    mark = g.mark()
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.15:
+            nested(rng, g)
+        else:
+            mutate(rng, g)
+    if rng.random() < 0.5:
+        g.rollback(mark)
+    g.release(mark)
 
 
 class TestValidate:
@@ -190,6 +247,103 @@ class TestMutation:
         assert g.add_node(Label(5)) == want.add_node(Label(5))
         assert g.add_edge(ids[0], ids[2]) == want.add_edge(ids[0], ids[2])
         assert g == want
+
+    def test_rollback_undoes_every_mutation(self):
+        g, ids = chain(3)
+        g.set_root(ids[0])
+        lone = g.add_node(Label(8), root=True)
+        want = g.copy()
+        mark = g.mark()
+        x = g.add_node(Label(4), root=True)
+        g.add_edge(ids[2], x)
+        g.remove_edge(g.out_edges(ids[1])[0])
+        g.relabel_node(ids[1], Label(7, "red"))
+        g.remove_node(lone)
+        g.remove_edge(g.add_edge(ids[0], x))
+        g.roots.add(ids[2])
+        g.roots.discard(ids[0])
+        assert g != want
+        g.rollback(mark)
+        g.release(mark)
+        assert_same(g, want)
+        assert g.add_node(Label(5)) == want.add_node(Label(5))
+        assert g.add_edge(ids[0], ids[2]) == want.add_edge(ids[0], ids[2])
+        assert g == want
+
+    def test_inner_rollback_keeps_outer_changes(self):
+        g, ids = chain(2)
+        outer = g.mark()
+        a = g.add_node(Label(1))
+        g.relabel_node(ids[0], Label(2))
+        want = g.copy()
+        inner = g.mark()
+        g.add_edge(a, ids[1])
+        g.relabel_node(ids[0], Label(3))
+        g.remove_edge(g.out_edges(ids[1])[0])
+        g.rollback(inner)
+        g.release(inner)
+        assert_same(g, want)
+        g.release(outer)
+        assert_same(g, want)
+
+    def test_outer_rollback_undoes_kept_inner_window(self):
+        g, ids = chain(2)
+        want = g.copy()
+        outer = g.mark()
+        g.add_node(Label(1), root=True)
+        inner = g.mark()
+        g.remove_edge(g.out_edges(ids[0])[0])
+        g.relabel_node(ids[1], Label(3))
+        g.release(inner)
+        g.add_edge(ids[1], ids[1])
+        g.rollback(outer)
+        g.release(outer)
+        assert_same(g, want)
+
+    def test_journal_closes_with_outermost_window(self):
+        g, ids = chain(2)
+        outer = g.mark()
+        inner = g.mark()
+        g.release(inner)
+        g.add_node(Label(1))
+        g.release(outer)
+        g.add_node(Label(2))
+        with pytest.raises(InputError, match="no open journal"):
+            g.rollback(outer)
+        with pytest.raises(InputError, match="no open journal"):
+            g.release(outer)
+
+    def test_rollback_rejects_a_mark_past_the_journal(self):
+        g, ids = chain(2)
+        outer = g.mark()
+        g.add_node(Label(1))
+        inner = g.mark()
+        g.rollback(outer)
+        with pytest.raises(InputError, match="no open journal"):
+            g.rollback(inner)
+
+    def test_rollback_matches_copy_on_random_mutations(self):
+        """200 seeded runs of random primitives, some in nested windows
+        that are kept or rolled back, on random hosts: rolling back to the
+        outer mark gives what a copy taken there holds."""
+        rng = Random(20261020)
+        popped = 0
+        for _ in range(200):
+            g = random_graph(rng, 6, FULL_ATOMS, NODE_MARKS, EDGE_MARKS)
+            for _ in range(rng.randint(0, 3)):
+                mutate(rng, g)
+            want = g.copy()
+            mark = g.mark()
+            for _ in range(rng.randint(0, 12)):
+                if rng.random() < 0.2:
+                    nested(rng, g)
+                else:
+                    mutate(rng, g)
+            popped += g != want
+            g.rollback(mark)
+            g.release(mark)
+            assert_same(g, want)
+        assert popped >= 150
 
     def test_equality_ignores_counters(self):
         g = Graph()

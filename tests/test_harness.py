@@ -19,7 +19,6 @@ from minigp.errors import InputError, RunError
 from minigp.graphs import Graph, graph_space
 from minigp.harness import (
     SimulationError,
-    bench_host,
     lockstep_verify,
     metrics_lines,
     metrics_table,
@@ -41,6 +40,7 @@ from minigp.turing import (
     parse_tm,
     tm_run,
 )
+from util import bench_host
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minigp"
@@ -185,7 +185,9 @@ class TestModes:
 class TestPatchedNames:
     """perfbench traces a run by replacing names where the package looks
     them up: `lang.apply_ruleset`, `Graph.copy` and `Interp.run`, whose
-    Done result must carry the final graph."""
+    Done result must carry the final graph.  `Graph.copy` sees the copies
+    (`ExecStats.copies`), not the saves nested in them, which roll back
+    from the graph's journal."""
 
     @pytest.mark.parametrize("mode", ["semantic", "efficient"])
     def test_wrappers_see_every_call(self, monkeypatch, mode):
@@ -213,8 +215,10 @@ class TestPatchedNames:
         assert cfg.graph is g
         stats = interp.stats
         assert calls["apply_ruleset"] == stats.rule_calls == mx.rule_calls
-        assert calls["copy"] == stats.snapshots
+        assert calls["copy"] == stats.copies
         assert (stats.snapshots > 0) == (mode == "semantic")
+        # Semantic mode copies only at the outer loop, once per pass.
+        assert stats.copies == (mx.restarts + 1 if mode == "semantic" else 0)
 
 
 class TestBench:

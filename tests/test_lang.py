@@ -672,3 +672,89 @@ def test_snapshot_free_sites_never_raise_null_failure():
             skipped[mode] += interp.skipped
     assert raised >= 20
     assert min(skipped.values()) >= 150
+
+
+class CopyEverySave(Interp):
+    """Semantic mode with a copy at every save, as before the journal:
+    the reference that journalled semantic mode must agree with."""
+
+    def _critical(self, run, keep, snapshot, failed):
+        if not snapshot:
+            return run
+        stats = self.stats
+
+        def restoring(G):
+            stats.snapshots += 1
+            stats.copies += 1
+            saved = G.copy()
+            status = run(G)
+            if status is _FAIL or (status is _OK and not keep):
+                G.restore(saved)
+            return status
+        return restoring
+
+
+def nested_saves(com, inside=False):
+    """Whether com holds a site that needs a snapshot inside another."""
+    sites = []
+    if isinstance(com, Loop):
+        sites = [(com.body, com.needs_snapshot)]
+    elif isinstance(com, (If, Try)):
+        sites = [(com.cond, com.needs_snapshot), (com.then, False),
+                 (com.els, False)]
+    elif isinstance(com, Seq):
+        sites = [(p, False) for p in com.parts]
+    return any((inside and save) or nested_saves(sub, inside or save)
+               for sub, save in sites)
+
+
+def test_journal_agrees_with_copying_every_save(monkeypatch):
+    """On random programs that nest snapshot sites, semantic mode, which
+    copies at the outermost save and rolls nested ones back from the
+    journal, ends with the same graph, counters and id counters as
+    copying at every save."""
+    undone = 0
+    rollback = Graph.rollback
+
+    def counting(G, mark):
+        nonlocal undone
+        before = to_text(G)
+        rollback(G, mark)
+        undone += to_text(G) != before
+    monkeypatch.setattr(Graph, "rollback", counting)
+
+    iterations = 0
+
+    def budget(loop, G, stats):
+        nonlocal iterations
+        iterations += 1
+        if iterations > MAX_ITERATIONS:
+            raise BudgetExceeded("loop-iteration budget exhausted")
+
+    rng = Random(20261021)
+    checked = journalled = 0
+    while checked < 150:
+        (com,) = parse("Main = " + random_command(rng, rng.randint(2, 5), False)).main
+        if not nested_saves(com):
+            continue
+        checked += 1
+        g = random_host(rng)
+        got = []
+        for cls in (CopyEverySave, Interp):
+            interp = cls(mode="semantic", max_rule_calls=60, loop_hook=budget)
+            iterations = 0
+            host = g.copy()
+            try:
+                end = type(interp.run(com, host)).__name__
+            except BudgetExceeded as e:
+                end = str(e)
+            st = interp.stats
+            got.append((end, to_text(host), host.next_node_id,
+                        host.next_edge_id, st.rule_calls, st.mutations,
+                        st.snapshots, st.peak_graph_space, st.peak_nodes,
+                        st.match_multiplicity_max, st.rule_applications,
+                        iterations))
+        assert got[0] == got[1]
+        journalled += st.copies < st.snapshots
+    assert journalled >= 80
+    assert undone >= 60

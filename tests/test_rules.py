@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from minigp.graphs import (EMPTY, Graph, Label, graph_space, to_text,
-                           validate_host_graph)
+from minigp.graphs import EMPTY, Graph, Label, graph_space, to_text
 from minigp.matching import match_all
 from minigp.rules import (
     DanglingViolation,
@@ -19,7 +18,7 @@ from minigp.rules import (
 )
 from util import (apply_reference, dangling_ok_reference,
                   is_static_noop_reference, match_bruteforce, random_graph,
-                  random_rule_and_host)
+                  random_rule_and_host, validate_host_graph)
 
 
 def single(g):

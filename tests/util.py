@@ -7,9 +7,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
+from minigp import graphs
 from minigp.encoding import (CapacityExceeded, EncodingParams,
                              MalformedConfigGraph, OutOfRange, block_content,
-                             content_digits)
+                             content_digits, enc)
 from minigp.graphs import EMPTY, Graph, Label, graph_space
 from minigp.lang import (Break, BudgetExceeded, Com, Done, ExecStats, Fail,
                          If, Interp, Loop, NullFailureViolation, Program,
@@ -36,6 +37,60 @@ def random_graph(rng, max_nodes, atoms, node_marks, edge_marks, root_p=0.4):
         g.add_edge(rng.choice(ids), rng.choice(ids),
                    Label(rng.choice(atoms), rng.choice(edge_marks)))
     return g
+
+
+def validate_host_graph(g):
+    """Every violated host-graph invariant, as `code:id` strings; [] means valid."""
+    bad = []
+
+    def atom_ok(atom):
+        return atom is None or isinstance(atom, int) or atom in graphs.CHAR_ATOMS
+
+    for nid in sorted(g.nodes):
+        lab = g.nodes[nid]
+        if lab is None:
+            bad.append(f"node-not-labelled:{nid}")
+            continue
+        if not atom_ok(lab.atom):
+            bad.append(f"unknown-atom:{nid}")
+        if lab.mark == "dashed":
+            bad.append(f"dashed-on-node:{nid}")
+        elif lab.mark not in graphs.NODE_MARKS:
+            bad.append(f"unknown-mark:{nid}")
+    for eid in sorted(g.edges):
+        src, tgt, lab = g.edges[eid]
+        if src not in g.nodes:
+            bad.append(f"dangling-src:{eid}")
+        if tgt not in g.nodes:
+            bad.append(f"dangling-tgt:{eid}")
+        if not atom_ok(lab.atom):
+            bad.append(f"unknown-atom:{eid}")
+        if lab.mark == "grey":
+            bad.append(f"grey-on-edge:{eid}")
+        elif lab.mark not in graphs.EDGE_MARKS:
+            bad.append(f"unknown-mark:{eid}")
+    for nid in sorted(g.roots):
+        if nid not in g.nodes:
+            bad.append(f"root-not-node:{nid}")
+    return bad
+
+
+def check_boundedness(g, max_outdegree, max_roots):
+    """True iff every outdegree is at most max_outdegree and |roots| <= max_roots."""
+    return len(g.roots) <= max_roots and \
+        all(len(g.out_edges(v)) <= max_outdegree for v in g.nodes)
+
+
+def bench_host(target_space, input="1" + "0" * 19):
+    """Smallest configuration graph of the benchmark family whose
+    graph_space reaches the target: a fixed fresh configuration encoded
+    at growing capacity levels."""
+    s = TMConfiguration(0, input, 0, "", 0)
+    for k in range(16):
+        g = enc(s, k)
+        if graph_space(g) >= target_space:
+            return g
+    raise ValueError(f"no benchmark host reaches graph_space {target_space}")
 
 
 # Share of random left sides that are empty.  The empty graph is always
@@ -254,6 +309,15 @@ def is_static_noop_reference(r):
             and all(r.left.nodes[lv] == r.right.nodes[rv]
                     and (lv in r.left.roots) == (rv in r.right.roots)
                     for lv, rv in r.interface.items()))
+
+
+def min_k(s):
+    """Smallest k whose capacity covers the used work squares."""
+    need = max(len(s.work), s.work_head + 1)
+    k = 0
+    while EncodingParams(k).capacity < need:
+        k += 1
+    return k
 
 
 def enc_reference(s, k):
