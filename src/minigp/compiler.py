@@ -21,7 +21,6 @@ MARK_L = Label("L")
 MARK_R = Label("R")
 
 BLUE_ROOT = Label(None, "blue")
-RED_ROOT = Label(None, "red")
 
 DIGITS = (0, 1, 2)
 

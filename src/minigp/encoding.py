@@ -4,7 +4,9 @@ its validating inverse.
 A configuration graph has a central root labelled with the state, a doubly
 linked INPUT list (red = right neighbor, blue = left), a BLOCKSET of b =
 3^(k+2) empty nodes whose dashed edges store block contents as indices, and
-a CACHE of c = k+2 ternary digits holding the active block.  The central
+a CACHE of c = k+2 ternary digits holding the active block.  A block's
+content is the ternary value of its c digits, the leftmost most
+significant, and `content_digits` turns a value back into digits.  The central
 node carries six out-edges: green "I" to the leftmost input node, green to
 the input head, blue to the leftmost block, dashed to the active block, red
 to the rightmost cache node, and an unmarked edge to the cache head.
@@ -19,7 +21,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
 
 from .errors import InputError, RunError
 from .graphs import EMPTY, Graph, Label
@@ -33,10 +34,6 @@ RED = Label(None, "red")
 # The central node's out-edges carry each of these labels exactly once;
 # the unmarked one, EMPTY, targets the cache head.
 _CENTRAL_LABELS = (GREEN_I, GREEN, BLUE, DASHED, RED, EMPTY)
-
-
-class LengthMismatch(InputError):
-    pass
 
 
 class OutOfRange(InputError):
@@ -76,20 +73,8 @@ class EncodingParams:
         return self.b * self.c
 
 
-def block_content(symbols: Sequence[int], c: Optional[int] = None) -> int:
-    """Ternary value of a block, leftmost digit most significant."""
-    if c is not None and len(symbols) != c:
-        raise LengthMismatch(f"expected {c} digits, got {len(symbols)}")
-    value = 0
-    for d in symbols:
-        if d not in (0, 1, 2):
-            raise OutOfRange(f"digit {d!r} not in {{0,1,2}}")
-        value = value * 3 + d
-    return value
-
-
 def content_digits(v: int, c: int) -> list[int]:
-    """Inverse of block_content at block size c."""
+    """The c ternary digits of block content v, most significant first."""
     if not 0 <= v < 3 ** c:
         raise OutOfRange(f"value {v} not in [0, 3^{c})")
     out = []

@@ -1,17 +1,15 @@
-"""Labelled rooted directed graphs with parallel edges and loops."""
+"""Labelled rooted directed graphs with parallel edges and loops, and
+`to_text`, the one serialization (the CLI writes graphs; nothing in the
+package reads them back)."""
 
 from __future__ import annotations
 
 from bisect import insort
 from typing import NamedTuple, Optional, Union
 
-from .errors import InputError, ParseError
+from .errors import InputError
 
 Atom = Union[int, str, None]
-
-NODE_MARKS = frozenset({None, "red", "green", "blue", "grey"})
-EDGE_MARKS = frozenset({None, "red", "green", "blue", "dashed"})
-CHAR_ATOMS = frozenset({"L", "R", "I"})
 
 
 class Label(NamedTuple):
@@ -234,17 +232,6 @@ def atom_to_text(atom: Atom) -> str:
     return str(atom)
 
 
-def atom_from_text(tok: str) -> Atom:
-    if tok == "_":
-        return None
-    if tok in CHAR_ATOMS:
-        return tok
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"bad atom {tok!r}") from None
-
-
 def to_text(g: Graph) -> str:
     """Serialize, one item per line, nodes then edges in ascending id order."""
     lines = []
@@ -265,54 +252,3 @@ def to_text(g: Graph) -> str:
             parts.append(lab.mark)
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-_MARKS = NODE_MARKS | EDGE_MARKS
-
-
-def from_text(text: str) -> Graph:
-    """Parse the serialization produced by to_text; `#` comments and blanks ignored."""
-    g = Graph()
-    pending = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        try:
-            if toks[0] == "node":
-                nid = int(toks[1])
-                atom = atom_from_text(toks[2])
-                mark = None
-                root = False
-                rest = toks[3:]
-                if rest and rest[0] in _MARKS:
-                    mark = rest.pop(0)
-                if rest and rest[0] == "root":
-                    root = True
-                    rest.pop(0)
-                if rest:
-                    raise ParseError(f"trailing tokens {rest}")
-                g.add_node(Label(atom, mark), root=root, nid=nid)
-            elif toks[0] == "edge":
-                eid, src, tgt = int(toks[1]), int(toks[2]), int(toks[3])
-                atom = atom_from_text(toks[4])
-                mark = None
-                rest = toks[5:]
-                if rest and rest[0] in _MARKS:
-                    mark = rest.pop(0)
-                if rest:
-                    raise ParseError(f"trailing tokens {rest}")
-                pending.append((lineno, eid, src, tgt, Label(atom, mark)))
-            else:
-                raise ParseError(f"unknown item {toks[0]!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, InputError):
-                raise ParseError(f"line {lineno}: {exc}") from None
-            raise ParseError(f"line {lineno}: cannot parse {line!r}") from None
-    for lineno, eid, src, tgt, lab in pending:
-        try:
-            g.add_edge(src, tgt, lab, eid=eid)
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-    return g

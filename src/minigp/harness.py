@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from .compiler import gen_sim, initial_graph
 from .encoding import EncodingParams, MalformedConfigGraph, dec
-from .errors import RunError
+from .errors import InputError, RunError
 from .graphs import Graph
 from .lang import (Done, ExecStats, Interp, Loop, NullFailureViolation,
                    Program)
@@ -131,10 +131,12 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
     decoded and compared against the stepped reference configuration; a
     completed restart must reproduce the initial configuration one
     capacity level up, after which the reference replays from the start.
-    Checking stops cleanly once max_steps steps have been compared.
-    Efficient mode is the default because only it can detect a failing
-    subrun that mutated the graph.
+    Checking stops cleanly once max_steps steps have been compared, so a
+    zero budget compares none.  Efficient mode is the default because only
+    it can detect a failing subrun that mutated the graph.
     """
+    if max_steps < 0:
+        raise InputError(f"step budget must be nonnegative, got {max_steps}")
     report = VerifyReport()
     oracle = initial_configuration(m, input)
     level = 0
@@ -148,6 +150,8 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
 
     def step_checked(g: Graph, stats: ExecStats) -> None:
         nonlocal oracle
+        if not max_steps:
+            raise _Abort()
         got, got_k = decode(g, f"step {report.steps_checked + 1}")
         nxt = tm_step(m, oracle)
         if nxt is None:

@@ -407,6 +407,8 @@ class Interp:
     ):
         if mode not in ("semantic", "efficient"):
             raise InputError(f"unknown mode {mode!r}")
+        if max_rule_calls is not None and max_rule_calls < 0:
+            raise InputError(f"rule-call budget must be nonnegative, got {max_rule_calls}")
         self.mode = mode
         self.max_rule_calls = max_rule_calls
         self.loop_hook = loop_hook
@@ -414,15 +416,10 @@ class Interp:
         self.stats = ExecStats()
         self._depth = 0
 
-    def run(self, program: Union[Program, Com, Sequence[Com]], g0: Graph) -> ExecConfiguration:
+    def run(self, program: Union[Program, Com], g0: Graph) -> ExecConfiguration:
         """Run to a terminal configuration, rewriting g0 in place; a Done
         carries g0 itself."""
-        if isinstance(program, Program):
-            coms = program.main
-        elif isinstance(program, Com):
-            coms = (program,)
-        else:
-            coms = tuple(program)
+        coms = program.main if isinstance(program, Program) else (program,)
         self._note(g0)
         status = self._build(Seq(coms), {})(g0)
         if status is _BREAK:

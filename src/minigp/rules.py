@@ -207,9 +207,6 @@ class RuleSet:
             self._memo[share(key)] = found
         return found
 
-    def __len__(self) -> int:
-        return len(self.rules)
-
 
 class Outcome(NamedTuple):
     applied: bool

@@ -107,6 +107,8 @@ def tm_step(m: TuringMachine, s: TMConfiguration) -> Optional[TMConfiguration]:
 
 def tm_run(m: TuringMachine, input: str, max_steps: int) -> tuple[TMConfiguration, int, int]:
     """Run to halt; returns (final configuration, steps taken, squares used)."""
+    if max_steps < 0:
+        raise InputError(f"step budget must be nonnegative, got {max_steps}")
     s = initial_configuration(m, input)
     squares = s.squares_in_use()
     for steps in range(max_steps + 1):

@@ -8,14 +8,8 @@ from random import Random
 import pytest
 
 from minigp.harness import lockstep_verify, run_sim
-from minigp.machines import (
-    counter_input,
-    counter_machine,
-    filler_machine,
-    random_machine_pair,
-    stamp_machine,
-    unary,
-)
+from minigp.machines import counter_machine, filler_machine
+from util import counter_input, fixture_machine, random_machine_pair, unary
 
 RANDOM_SEED = 20260814
 
@@ -23,7 +17,8 @@ RANDOM_SEED = 20260814
 @pytest.fixture(scope="session")
 def verification_cases():
     """The (label, machine, input) matrix driving the correctness checks."""
-    cases = [(f"stamp-{n}", stamp_machine(), unary(n)) for n in range(1, 7)]
+    stamp = fixture_machine("stamp")
+    cases = [(f"stamp-{n}", stamp, unary(n)) for n in range(1, 7)]
     cases += [(f"count-{n}", counter_machine(), counter_input(n))
               for n in range(1, 9)]
     rng = Random(RANDOM_SEED)

@@ -13,11 +13,11 @@ import time
 from random import Random
 
 from conftest import RANDOM_SEED
-from util import (bench_host, match_bruteforce, morphism, random_match_pair,
-                  run_program)
+from util import (bench_host, block_content, match_bruteforce, morphism,
+                  random_match_pair, run_program)
 
 from minigp.compiler import gen_sim
-from minigp.encoding import EncodingParams, block_content, content_digits, enc
+from minigp.encoding import EncodingParams, content_digits, enc
 from minigp.graphs import Graph, Label, graph_space
 from minigp.harness import run_sim
 from minigp.lang import Done, Fail, parse_program

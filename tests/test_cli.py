@@ -12,9 +12,8 @@ from minigp import harness
 from minigp.cli import main
 from minigp.lang import Fail, Interp
 from minigp.encoding import MalformedConfigGraph, dec
-from minigp.graphs import from_text
-from minigp.machines import stamp_machine, unary
 from minigp.turing import tm_run
+from util import fixture_machine, from_text, unary
 
 FIXTURES = str(Path(__file__).resolve().parent.parent / "fixtures")
 
@@ -37,6 +36,13 @@ class TestVerify:
                                "--input", "0")
         assert code == 0
         assert "restarts=1" in out
+        assert "no divergence" in out
+
+    def test_zero_step_budget_checks_no_step(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", f"{FIXTURES}/stamp.tm",
+                               "--input", "10", "--max-steps", "0")
+        assert code == 0
+        assert "steps_checked=0" in out.splitlines()
         assert "no divergence" in out
 
     def test_oracle_error_exits_one(self, capsys):
@@ -75,7 +81,7 @@ class TestRunAndExec:
         code, out, _ = run_cli(capsys, "run", f"{FIXTURES}/stamp.tm",
                                "--input", unary(2), "--dump-graph", str(dump))
         assert code == 0
-        final, _, _ = tm_run(stamp_machine(), unary(2), 100)
+        final, _, _ = tm_run(fixture_machine("stamp"), unary(2), 100)
         got, k = dec(from_text(dump.read_text()))
         assert got == final
         assert k == 0
@@ -168,9 +174,19 @@ class TestErrors:
          "patched dec"),
         (["verify", "{fix}/stamp.tm", "--input", "0"], True, 1, ""),
         (["verify", "{fix}/stamp.tm", "--input", "0"], False, 0, ""),
+        (["exec", "{fix}/stamp.tm", "--input", "0", "--max-steps", "-1"],
+         False, 2, "step budget"),
+        (["run", "{fix}/stamp.tm", "--input", "0", "--max-steps", "-1"],
+         False, 2, "step budget"),
+        (["run", "{fix}/stamp.tm", "--input", "0", "--max-rule-calls", "-3"],
+         False, 2, "rule-call budget"),
+        (["verify", "{fix}/stamp.tm", "--input", "10", "--max-steps", "-2"],
+         False, 2, "step budget"),
     ], ids=["missing-file", "not-utf8", "bad-header", "bad-input",
             "input-overflow", "rule-budget", "run-undecodable",
-            "trace-undecodable", "verify-undecodable", "verify-clean"])
+            "trace-undecodable", "verify-undecodable", "verify-clean",
+            "exec-negative-steps", "run-negative-steps",
+            "run-negative-rule-calls", "verify-negative-steps"])
     def test_exit_codes(self, capsys, monkeypatch, tmp_path, argv, broken_dec,
                         code, message):
         """2 for bad input or an unreadable file, 1 for a RunError."""

@@ -17,7 +17,7 @@ from minigp.encoding import MalformedConfigGraph, dec, enc
 from minigp.errors import InputError
 from minigp.graphs import Graph, Label
 from minigp.lang import Done, If, Interp, Loop, Seq, Try, parse_program
-from minigp.machines import counter_input, counter_machine, filler_machine, unary
+from minigp.machines import counter_machine, filler_machine
 from minigp.matching import edge_enumerations
 from minigp.rules import RuleSet, apply_ruleset
 from minigp.turing import (
@@ -26,7 +26,7 @@ from minigp.turing import (
     initial_configuration,
     tm_run,
 )
-from util import check_boundedness, run_program
+from util import check_boundedness, counter_input, run_program, unary
 
 EMPTY_M = TuringMachine(0, 0, {})
 ONES = TuringMachine(0, 1, {
@@ -382,9 +382,12 @@ class TestBacktracking:
         """The paper's O(s(n)) space: semantic mode copies the host once per
         pass of the outer loop (restarts + 1), and every save nested in
         that pass rolls back from a journal that stays within a constant
-        times the peak graph space."""
+        times the peak graph space.  The records each rollback pops are
+        pinned: on both runs one rollback happens and pops none, so any
+        change to how the generated program backtracks shows here."""
         longest = marks = 0
-        mark = Graph.mark
+        rollbacks = []
+        mark, rollback = Graph.mark, Graph.rollback
 
         def marking(G):
             nonlocal marks
@@ -397,9 +400,13 @@ class TestBacktracking:
                 longest = max(longest, len(G._log))
                 method(G, m)
             return measured
+
+        def rolling(G, m):
+            rollbacks.append(len(G._log) - m.at)
+            rollback(G, m)
         monkeypatch.setattr(Graph, "mark", marking)
-        for name in ("rollback", "release"):
-            monkeypatch.setattr(Graph, name, measuring(getattr(Graph, name)))
+        monkeypatch.setattr(Graph, "rollback", measuring(rolling))
+        monkeypatch.setattr(Graph, "release", measuring(Graph.release))
         m = make()
         interp = Interp(mode="semantic")
         interp.run(gen_sim(m).program, initial_graph(inp, m.start))
@@ -407,6 +414,7 @@ class TestBacktracking:
         assert st.copies == copies
         assert marks == st.snapshots - st.copies
         assert 0 < longest <= 5 * st.peak_graph_space
+        assert rollbacks == [0]
 
     def test_efficient_mode_opens_no_journal(self, monkeypatch):
         def marking(G):

@@ -14,19 +14,17 @@ import pytest
 from minigp.encoding import (
     CapacityExceeded,
     EncodingParams,
-    LengthMismatch,
     MalformedConfigGraph,
     OutOfRange,
     _schema,
-    block_content,
     content_digits,
     dec,
     enc,
 )
 from minigp.graphs import Label, graph_space, to_text
 from minigp.turing import TMConfiguration
-from util import (check_boundedness, dec_reference, enc_reference, min_k,
-                  validate_host_graph)
+from util import (LengthMismatch, block_content, check_boundedness,
+                  dec_reference, enc_reference, min_k, validate_host_graph)
 
 
 def config(state=0, input="10", input_head=0, work="", work_head=0):

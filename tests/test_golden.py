@@ -26,14 +26,8 @@ from conftest import RANDOM_SEED
 
 from minigp import graphs
 from minigp.harness import run_sim
-from minigp.machines import (
-    counter_input,
-    counter_machine,
-    filler_machine,
-    random_machine_pair,
-    stamp_machine,
-    unary,
-)
+from minigp.machines import counter_machine, filler_machine
+from util import counter_input, fixture_machine, random_machine_pair, unary
 
 GOLDEN = Path(__file__).with_name("golden_metrics.json")
 
@@ -43,7 +37,8 @@ EFFICIENT_ONLY = frozenset({"filler-7"})
 
 def cases():
     """(label, machine, input) for every pinned case, in file order."""
-    out = [(f"stamp-{n}", stamp_machine(), unary(n)) for n in range(1, 7)]
+    stamp = fixture_machine("stamp")
+    out = [(f"stamp-{n}", stamp, unary(n)) for n in range(1, 7)]
     out += [(f"count-{n}", counter_machine(), counter_input(n))
             for n in range(1, 7)]
     out += [(f"filler-{reps}", filler_machine(), unary(reps))

@@ -5,18 +5,10 @@ from random import Random
 
 import pytest
 
-from minigp.errors import InputError
-from minigp.graphs import (
-    EMPTY,
-    Graph,
-    Label,
-    ParseError,
-    from_text,
-    graph_space,
-    to_text,
-)
+from minigp.errors import InputError, ParseError
+from minigp.graphs import EMPTY, Graph, Label, graph_space, to_text
 from util import (EDGE_MARKS, FULL_ATOMS, NODE_MARKS, check_boundedness,
-                  random_graph, validate_host_graph)
+                  from_text, random_graph, validate_host_graph)
 
 
 def chain(n, label=EMPTY):

@@ -7,7 +7,11 @@ from __future__ import annotations
 
 import ast
 import importlib
+import io
 import math
+import re
+import tokenize
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -25,25 +29,20 @@ from minigp.harness import (
     run_sim,
 )
 from minigp.lang import Fail, Interp
-from minigp.machines import (
-    counter_input,
-    counter_machine,
-    empty_machine,
-    filler_machine,
-    random_machine_pair,
-    stamp_machine,
-    unary,
-)
+from minigp.machines import counter_machine, filler_machine
 from minigp.turing import (
     TuringMachine,
     initial_configuration,
-    parse_tm,
     tm_run,
 )
-from util import bench_host
+from util import (bench_host, counter_input, fixture_machine,
+                  random_machine_pair, unary)
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minigp"
+BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+# fixtures/stamp.tm writes 110 per input symbol; fixtures/empty.tm halts at once.
+STAMP = fixture_machine("stamp")
+EMPTY_M = fixture_machine("empty")
 
 
 def fill_machine(writes: int) -> TuringMachine:
@@ -54,15 +53,15 @@ def fill_machine(writes: int) -> TuringMachine:
 
 class TestLockstep:
     def test_empty_machine(self):
-        report = lockstep_verify(empty_machine(), "1")
+        report = lockstep_verify(EMPTY_M, "1")
         assert report.ok
         assert report.steps_checked == 0
         assert report.restarts == 0
-        assert report.final_config == initial_configuration(empty_machine(), "1")
+        assert report.final_config == initial_configuration(EMPTY_M, "1")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stamp_end_state(self, n):
-        report = lockstep_verify(stamp_machine(), unary(n))
+        report = lockstep_verify(STAMP, unary(n))
         assert report.ok
         assert report.steps_checked == 3 * n
         assert report.final_config.work == "110" * n
@@ -100,13 +99,13 @@ class TestLockstep:
         assert report.errors
 
     def test_budget_becomes_report_entry(self):
-        report = lockstep_verify(stamp_machine(), unary(3), max_rule_calls=20)
+        report = lockstep_verify(STAMP, unary(3), max_rule_calls=20)
         assert not report.ok
         assert any("budget" in e for e in report.errors)
 
     def test_trace_streams_decoded_configs(self):
         seen = []
-        report = lockstep_verify(stamp_machine(), unary(2),
+        report = lockstep_verify(STAMP, unary(2),
                                  trace=lambda i, s: seen.append((i, s)))
         assert report.ok
         assert [i for i, _ in seen] == list(range(1, report.steps_checked + 1))
@@ -115,7 +114,7 @@ class TestLockstep:
 
 class TestMeasure:
     def test_immediate_halt(self):
-        mx = run_sim(empty_machine(), "1")[0]
+        mx = run_sim(EMPTY_M, "1")[0]
         assert (mx.restarts, mx.final_c, mx.final_b) == (0, 2, 9)
         assert mx.tm_steps == 0
         assert mx.tape_squares_used == 1
@@ -126,7 +125,7 @@ class TestMeasure:
         assert (mx.restarts, mx.final_c, mx.final_b) == (1, 3, 27)
 
     def test_metrics_invariants(self):
-        for m, input in [(empty_machine(), "1"), (stamp_machine(), unary(4)),
+        for m, input in [(EMPTY_M, "1"), (STAMP, unary(4)),
                          (counter_machine(), counter_input(4)),
                          (fill_machine(19), "1")]:
             mx = run_sim(m, input)[0]
@@ -139,7 +138,7 @@ class TestMeasure:
             assert len(mx.per_step_rule_calls) >= mx.tm_steps
 
     def test_peak_space_bound(self):
-        for m, input in [(empty_machine(), "1"), (stamp_machine(), unary(6)),
+        for m, input in [(EMPTY_M, "1"), (STAMP, unary(6)),
                          (counter_machine(), counter_input(8)),
                          (fill_machine(18), "1"), (fill_machine(19), "1")]:
             mx = run_sim(m, input)[0]
@@ -157,10 +156,10 @@ class TestMeasure:
         assert len(mx.per_step_rule_calls) == report.steps_checked
 
     def test_emitters(self):
-        mx = run_sim(empty_machine(), "1")[0]
+        mx = run_sim(EMPTY_M, "1")[0]
         lines = metrics_lines(mx)
         assert "final_c=2" in lines and "final_b=9" in lines and "restarts=0" in lines
-        table = metrics_table([("1", mx), ("11", run_sim(empty_machine(), "11")[0])])
+        table = metrics_table([("1", mx), ("11", run_sim(EMPTY_M, "11")[0])])
         header, *rows = table.strip().splitlines()
         assert header.startswith("input,rule_calls,tm_steps,restarts,")
         assert len(rows) == 2
@@ -171,7 +170,7 @@ class TestMeasure:
 
 class TestModes:
     @pytest.mark.parametrize("m,input", [
-        (stamp_machine(), unary(3)),
+        (STAMP, unary(3)),
         (counter_machine(), counter_input(3)),
         (fill_machine(19), "1"),
     ])
@@ -260,12 +259,10 @@ class TestMachines:
             assert squares <= 81
 
     def test_fixture_files_match_builders(self):
-        for name, build in [("empty", empty_machine), ("stamp", stamp_machine),
-                            ("count", counter_machine),
+        for name, build in [("count", counter_machine),
                             ("filler", filler_machine)]:
-            on_disk = parse_tm((FIXTURES / f"{name}.tm").read_text())
-            assert on_disk == build()
-        ones = parse_tm((FIXTURES / "ones.tm").read_text())
+            assert fixture_machine(name) == build()
+        ones = fixture_machine("ones")
         assert ones.delta == {(0, 1, 2): (0, 1, "R", "R"),
                               (0, 0, 2): (1, 1, "S", "S")}
 
@@ -279,6 +276,45 @@ class TestTypedFailures:
             found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
         assert found == []
+
+    def test_package_names_have_package_callers(self):
+        """Every module-level function, class and constant of the package
+        is used elsewhere in the package; only names the benchmark's code
+        (not its comments) uses may serve tests and the benchmark alone."""
+        def uses(node):
+            found = Counter()
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                    found[n.id] += 1
+                elif isinstance(n, ast.Attribute):
+                    found[n.attr] += 1
+            return found
+
+        tokens = tokenize.generate_tokens(io.StringIO(BENCHMARK.read_text()).readline)
+        benchmark = {word for tok in tokens
+                     if tok.type in (tokenize.NAME, tokenize.STRING)
+                     for word in re.findall(r"\w+", tok.string)}
+        trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+                 for path in sorted(PACKAGE.glob("*.py"))}
+        used = sum((uses(tree) for tree in trees.values()), Counter())
+        unused = []
+        for fname, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) \
+                        else [node.target]
+                    names = [n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name)]
+                else:
+                    continue
+                own = uses(node)
+                unused += [f"{fname}:{name}" for name in names
+                           if not name.startswith("__")
+                           and name not in benchmark
+                           and used[name] == own[name]]
+        assert unused == []
 
     def test_one_error_hierarchy(self):
         """Every package error is an InputError or a RunError, raised as
@@ -312,9 +348,9 @@ class TestTypedFailures:
             return replace(final, work=final.work + "1"), steps, squares
         monkeypatch.setattr(harness, "tm_run", wrong_final)
         with pytest.raises(SimulationError, match="diverged"):
-            run_sim(stamp_machine(), unary(1))
+            run_sim(STAMP, unary(1))
 
     def test_failed_run_raises(self, monkeypatch):
         monkeypatch.setattr(Interp, "run", lambda self, program, g: Fail())
         with pytest.raises(SimulationError, match="run failed"):
-            run_sim(stamp_machine(), unary(1))
+            run_sim(STAMP, unary(1))

@@ -78,7 +78,7 @@ class TestParse:
         call, tr = p.main
         assert isinstance(call, RuleCall)
         assert call.names == ("a", "b")
-        assert len(call.rules) == 2
+        assert len(call.rules.rules) == 2
         assert isinstance(tr, Try)
         assert tr.cond.names == ("c",)
         assert tr.then.names == ("a",)
@@ -501,7 +501,7 @@ class TestBreakEscape:
     @pytest.mark.parametrize("mode", ["semantic", "efficient"])
     def test_break_escaping_the_program(self, mode):
         (call,) = parse("Main = a").main
-        for prog in ((Break(),), Seq((call, Break()))):
+        for prog in (Break(), Seq((call, Break()))):
             with pytest.raises(RuntimeError, match="escaped the program"):
                 Interp(mode=mode).run(prog, host())
 

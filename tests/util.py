@@ -1,29 +1,150 @@
-"""Shared test helpers: random graphs and rules, and the reference
-implementations the fast code is checked against: the brute-force
-matcher, rule application, the configuration codec, and the small-step
-relation."""
+"""Shared test helpers: the example machines and their inputs, random
+machines, graphs and rules, and the reference implementations the fast
+code is checked against: the graph-text parser, the brute-force matcher,
+rule application, block arithmetic, the configuration codec, and the
+small-step relation."""
 
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations, product
+from pathlib import Path
+from random import Random
 
-from minigp import graphs
 from minigp.encoding import (CapacityExceeded, EncodingParams,
-                             MalformedConfigGraph, OutOfRange, block_content,
+                             MalformedConfigGraph, OutOfRange,
                              content_digits, enc)
-from minigp.graphs import EMPTY, Graph, Label, graph_space
+from minigp.errors import InputError, ParseError, RunError
+from minigp.graphs import EMPTY, Atom, Graph, Label, graph_space
 from minigp.lang import (Break, BudgetExceeded, Com, Done, ExecStats, Fail,
                          If, Interp, Loop, NullFailureViolation, Program,
                          RuleCall, Seq, Try)
 from minigp.matching import NotFastRule, edge_enumerations
 from minigp.rules import DanglingViolation, Rule, apply_ruleset
-from minigp.turing import BLANK, TMConfiguration
+from minigp.turing import (BLANK, TMConfiguration, TuringMachine, parse_tm,
+                           tm_run)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 FULL_ATOMS = [None, 0, 1, 2, "L", "R", "I"]
 SMALL_ATOMS = [None, 0, 1]
+CHAR_ATOMS = frozenset({"L", "R", "I"})
 NODE_MARKS = [None, "red", "green", "blue", "grey"]
 EDGE_MARKS = [None, "red", "green", "blue", "dashed"]
 SMALL_MARKS = [None, "red"]
+
+
+def fixture_machine(name):
+    """The machine defined by fixtures/<name>.tm."""
+    return parse_tm((FIXTURES / f"{name}.tm").read_text())
+
+
+def unary(n: int) -> str:
+    if n < 1:
+        raise InputError("unary arguments start at 1")
+    return "1" * (n - 1) + "0"
+
+
+def counter_input(length: int) -> str:
+    """An input of the given length that seeds a full-width count."""
+    if length < 1:
+        raise InputError("inputs have at least one symbol")
+    return "0" * (length - 1) + "1"
+
+
+def random_machine_pair(rng: Random, max_states: int = 4,
+                        max_steps: int = 500) -> tuple[TuringMachine, str]:
+    """A well-formed (machine, input) pair that halts within max_steps.
+
+    Draws a partial transition table and rejects anything that underflows a
+    head, runs off the input, runs too long, halts in under three steps, or
+    uses more than 81 work squares (keeping downstream runs affordable).
+    """
+    while True:
+        n = rng.randint(2, max_states)
+        delta = {}
+        for q in range(n):
+            for a in (0, 1):
+                for x in (0, 1, 2):
+                    if rng.random() < 0.15:
+                        continue
+                    delta[(q, a, x)] = (
+                        rng.randrange(n),
+                        rng.choice((0, 1, 2)),
+                        rng.choices("SRL", weights=(6, 3, 1))[0],
+                        rng.choices("SRL", weights=(3, 6, 2))[0],
+                    )
+        m = TuringMachine(0, n - 1, delta)
+        input = "".join(rng.choice("01") for _ in range(rng.randint(3, 8)))
+        try:
+            _, steps, squares = tm_run(m, input, max_steps)
+        except RunError:
+            continue
+        if steps < 3 or squares > 81:
+            continue
+        return m, input
+
+
+def atom_from_text(tok: str) -> Atom:
+    if tok == "_":
+        return None
+    if tok in CHAR_ATOMS:
+        return tok
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"bad atom {tok!r}") from None
+
+
+_MARKS = frozenset(NODE_MARKS + EDGE_MARKS)
+
+
+def from_text(text: str) -> Graph:
+    """Parse the serialization produced by to_text; `#` comments and blanks
+    ignored.  The round-trip oracle of `minigp.graphs.to_text`."""
+    g = Graph()
+    pending = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        toks = line.split()
+        try:
+            if toks[0] == "node":
+                nid = int(toks[1])
+                atom = atom_from_text(toks[2])
+                mark = None
+                root = False
+                rest = toks[3:]
+                if rest and rest[0] in _MARKS:
+                    mark = rest.pop(0)
+                if rest and rest[0] == "root":
+                    root = True
+                    rest.pop(0)
+                if rest:
+                    raise ParseError(f"trailing tokens {rest}")
+                g.add_node(Label(atom, mark), root=root, nid=nid)
+            elif toks[0] == "edge":
+                eid, src, tgt = int(toks[1]), int(toks[2]), int(toks[3])
+                atom = atom_from_text(toks[4])
+                mark = None
+                rest = toks[5:]
+                if rest and rest[0] in _MARKS:
+                    mark = rest.pop(0)
+                if rest:
+                    raise ParseError(f"trailing tokens {rest}")
+                pending.append((lineno, eid, src, tgt, Label(atom, mark)))
+            else:
+                raise ParseError(f"unknown item {toks[0]!r}")
+        except (IndexError, ValueError) as exc:
+            if isinstance(exc, InputError):
+                raise ParseError(f"line {lineno}: {exc}") from None
+            raise ParseError(f"line {lineno}: cannot parse {line!r}") from None
+    for lineno, eid, src, tgt, lab in pending:
+        try:
+            g.add_edge(src, tgt, lab, eid=eid)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    return g
 
 
 def random_graph(rng, max_nodes, atoms, node_marks, edge_marks, root_p=0.4):
@@ -44,7 +165,7 @@ def validate_host_graph(g):
     bad = []
 
     def atom_ok(atom):
-        return atom is None or isinstance(atom, int) or atom in graphs.CHAR_ATOMS
+        return atom is None or isinstance(atom, int) or atom in CHAR_ATOMS
 
     for nid in sorted(g.nodes):
         lab = g.nodes[nid]
@@ -55,7 +176,7 @@ def validate_host_graph(g):
             bad.append(f"unknown-atom:{nid}")
         if lab.mark == "dashed":
             bad.append(f"dashed-on-node:{nid}")
-        elif lab.mark not in graphs.NODE_MARKS:
+        elif lab.mark not in NODE_MARKS:
             bad.append(f"unknown-mark:{nid}")
     for eid in sorted(g.edges):
         src, tgt, lab = g.edges[eid]
@@ -67,7 +188,7 @@ def validate_host_graph(g):
             bad.append(f"unknown-atom:{eid}")
         if lab.mark == "grey":
             bad.append(f"grey-on-edge:{eid}")
-        elif lab.mark not in graphs.EDGE_MARKS:
+        elif lab.mark not in EDGE_MARKS:
             bad.append(f"unknown-mark:{eid}")
     for nid in sorted(g.roots):
         if nid not in g.nodes:
@@ -309,6 +430,23 @@ def is_static_noop_reference(r):
             and all(r.left.nodes[lv] == r.right.nodes[rv]
                     and (lv in r.left.roots) == (rv in r.right.roots)
                     for lv, rv in r.interface.items()))
+
+
+class LengthMismatch(InputError):
+    pass
+
+
+def block_content(symbols, c=None):
+    """Ternary value of a block, leftmost digit most significant: the
+    oracle of `minigp.encoding.content_digits`."""
+    if c is not None and len(symbols) != c:
+        raise LengthMismatch(f"expected {c} digits, got {len(symbols)}")
+    value = 0
+    for d in symbols:
+        if d not in (0, 1, 2):
+            raise OutOfRange(f"digit {d!r} not in {{0,1,2}}")
+        value = value * 3 + d
+    return value
 
 
 def min_k(s):
