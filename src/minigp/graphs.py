@@ -30,12 +30,15 @@ _ADDED_NODE, _ADDED_EDGE, _REMOVED_EDGE, _REMOVED_NODE, _RELABELLED = range(5)
 
 class Mark(NamedTuple):
     """A point to roll a graph back to: the journal length, both id
-    counters and a copy of the roots, which `rules.apply` edits directly."""
+    counters and a copy of the roots, which `rules.apply` edits directly.
+    The outermost window's mark also holds a copy of the graph (`saved`),
+    and its journal length is 0."""
 
     at: int
     next_node_id: int
     next_edge_id: int
     roots: set[int]
+    saved: Optional[Graph] = None
 
 
 class Graph:
@@ -43,11 +46,14 @@ class Graph:
     monotonically and never reused, so iteration in ascending id order is
     stable across mutations.
 
-    Between `mark` and the matching `release` the graph keeps an undo
-    journal: each primitive mutation (adding or removing a node or an edge,
-    relabelling a node) appends one record, and `rollback` pops them in
-    reverse.  Windows nest; the journal closes when the outermost one is
-    released, so a graph outside any window records nothing."""
+    `mark` opens a window that `rollback` can undo and `release` ends.
+    Windows nest, and their depth decides how each is kept: the outermost
+    copies the graph, and a nested one uses an undo journal, so the
+    journal never spans more than one outermost window.  While a nested
+    window is open, each primitive mutation (adding or removing a node or
+    an edge, relabelling a node) appends one record, and `rollback` pops
+    them in reverse; the journal closes with the last nested window, so a
+    graph outside them records nothing."""
 
     __slots__ = ("nodes", "edges", "roots", "_out", "_in", "next_node_id", "next_edge_id",
                  "_log", "_windows")
@@ -147,66 +153,66 @@ class Graph:
         g._windows = 0
         return g
 
-    def restore(self, saved: Graph) -> None:
-        """Become saved, a copy taken earlier, in O(1) by adopting its
-        dicts, roots and id counters; saved must not be used afterwards."""
-        self.nodes = saved.nodes
-        self.edges = saved.edges
-        self.roots = saved.roots
-        self._out = saved._out
-        self._in = saved._in
-        self.next_node_id = saved.next_node_id
-        self.next_edge_id = saved.next_edge_id
-
     def mark(self) -> Mark:
-        """Open a window, and the journal if none is open; end it with
-        `release`, after a `rollback` to this mark or not."""
+        """Open a window; end it with `release`, after a `rollback` to this
+        mark or not.  The outermost window copies the graph; a nested one
+        opens the journal if none is open."""
+        self._windows += 1
+        if self._windows == 1:
+            saved = self.copy()
+            return Mark(0, saved.next_node_id, saved.next_edge_id, saved.roots, saved)
         if self._log is None:
             self._log = []
-        self._windows += 1
         return Mark(len(self._log), self.next_node_id, self.next_edge_id,
                     set(self.roots))
 
     def rollback(self, mark: Mark) -> None:
-        """Undo every mutation since mark, in reverse, and restore the id
-        counters and the roots; mark's roots are adopted, so roll back to a
-        mark at most once."""
-        log = self._journal(mark)
-        nodes, edges, out, inn = self.nodes, self.edges, self._out, self._in
-        for op, item, old in reversed(log[mark.at:]):
-            if op == _REMOVED_EDGE:
-                edges[item] = old
-                insort(out[old[0]], item)
-                insort(inn[old[1]], item)
-            elif op == _ADDED_EDGE:
-                src, tgt, _ = edges.pop(item)
-                out[src].remove(item)
-                inn[tgt].remove(item)
-            elif op == _RELABELLED:
-                nodes[item] = old
-            elif op == _REMOVED_NODE:
-                nodes[item] = old
-                out[item] = []
-                inn[item] = []
-            else:
-                del nodes[item], out[item], inn[item]
-        del log[mark.at:]
+        """Undo every change since mark, adopting its copy in O(1) or popping
+        the journal in reverse, and restore the id counters and the roots;
+        mark's copy and roots are adopted, so roll back to a mark at most
+        once."""
+        self._check(mark)
+        saved = mark.saved
+        if saved is not None:
+            self.nodes, self.edges = saved.nodes, saved.edges
+            self._out, self._in = saved._out, saved._in
+        else:
+            log = self._log
+            nodes, edges, out, inn = self.nodes, self.edges, self._out, self._in
+            for op, item, old in reversed(log[mark.at:]):
+                if op == _REMOVED_EDGE:
+                    edges[item] = old
+                    insort(out[old[0]], item)
+                    insort(inn[old[1]], item)
+                elif op == _ADDED_EDGE:
+                    src, tgt, _ = edges.pop(item)
+                    out[src].remove(item)
+                    inn[tgt].remove(item)
+                elif op == _RELABELLED:
+                    nodes[item] = old
+                elif op == _REMOVED_NODE:
+                    nodes[item] = old
+                    out[item] = []
+                    inn[item] = []
+                else:
+                    del nodes[item], out[item], inn[item]
+            del log[mark.at:]
         self.next_node_id = mark.next_node_id
         self.next_edge_id = mark.next_edge_id
         self.roots = mark.roots
 
     def release(self, mark: Mark) -> None:
         """End the window mark opened, keeping its changes; the journal
-        closes with the outermost window."""
-        self._journal(mark)
+        closes with the last nested window."""
+        self._check(mark)
         self._windows -= 1
-        if not self._windows:
+        if self._windows < 2:
             self._log = None
 
-    def _journal(self, mark: Mark) -> list[tuple]:
-        if self._log is None or not 0 <= mark.at <= len(self._log):
-            raise InputError(f"no open journal reaches back to {mark.at}")
-        return self._log
+    def _check(self, mark: Mark) -> None:
+        if not self._windows or mark.saved is None and (
+                self._log is None or not 0 <= mark.at <= len(self._log)):
+            raise InputError(f"no open window reaches back to {mark.at}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -9,14 +9,14 @@ command's closure, which rewrites the one host graph in place.  Conditions
 and loop bodies are critical subprograms, whose result a construct may
 discard.  Every command carries effect flags, computed bottom-up when it
 is built, that say whether a discarded run of it could have changed the
-host.  Semantic mode saves the host only before such a run and puts it
-back when the result is discarded: the outermost open save copies the
-host and restores the copy, and every save nested in it marks the host's
-undo journal and rolls back to the mark, so only the outermost save costs
-a copy.  Efficient mode saves nothing and, at those same sites, insists a
-save would have been pointless (no mutation on any path whose result gets
-discarded).  At every other site both modes run the subprogram bare.  Peak graph space is noted
-only after rules that can raise it (`Rule.may_grow`).
+host.  Semantic mode saves the host only before such a run, with
+`Graph.mark`, and rolls back to the mark when the result is discarded;
+the graph copies itself at the outermost open save and journals the
+saves nested in it, so only the outermost save costs a copy.  Efficient
+mode saves nothing and, at those same sites, insists a save would have
+been pointless (no mutation on any path whose result gets discarded).
+At every other site both modes run the subprogram bare.  Peak graph
+space is noted only after rules that can raise it (`Rule.may_grow`).
 """
 
 from __future__ import annotations
@@ -171,13 +171,11 @@ Runner = Callable[[Graph], str]
 
 @dataclass
 class ExecStats:
-    """Counters of a run.  snapshots counts the saves semantic mode makes,
-    copies those of them that copy the host (the rest are journal marks)."""
+    """Counters of a run.  snapshots counts the saves semantic mode makes."""
 
     rule_calls: int = 0
     mutations: int = 0
     snapshots: int = 0
-    copies: int = 0
     restarts: int = 0
     peak_graph_space: int = 0
     peak_nodes: int = 0
@@ -389,9 +387,8 @@ class Interp:
     its status; the mode, each site's `needs_snapshot`, the rule-call budget
     and both hooks are read when it is built.  Both modes rewrite the one
     host graph in place and differ only at critical sites whose
-    `needs_snapshot` is set (`_critical`); there semantic mode copies the
-    host at the outermost open save and rolls nested saves back from the
-    host's journal, choosing at run time by the count of open saves.
+    `needs_snapshot` is set (`_critical`); there semantic mode saves the
+    host with `Graph.mark`, which copies or journals it.
     `loop_hook(loop, graph, stats)` fires after each completed
     (non-breaking, non-failing) iteration, `apply_hook(rule_name, graph)`
     after each applied rule.
@@ -414,7 +411,6 @@ class Interp:
         self.loop_hook = loop_hook
         self.apply_hook = apply_hook
         self.stats = ExecStats()
-        self._depth = 0
 
     def run(self, program: Union[Program, Com], g0: Graph) -> ExecConfiguration:
         """Run to a terminal configuration, rewriting g0 in place; a Done
@@ -484,37 +480,23 @@ class Interp:
         is discarded.  Unless snapshot, the site's `needs_snapshot`, is set,
         the effect flags prove that a discarded run left the host unchanged,
         and run is returned bare in both modes.  Otherwise semantic mode
-        saves the host before the run and discards by putting it back: with
-        no save open (`_depth` 0) it copies the host and restores the copy,
-        and inside an open save it marks the host's journal and rolls back
-        to the mark, so a window's journal holds only that window's
-        mutations.  In efficient mode a discarded run that mutated raises
-        failed (after a failure) or the if-condition message (after a
-        success)."""
+        marks the host before the run, rolls back to the mark to discard
+        it, and releases the mark.  In efficient mode a discarded run that
+        mutated raises failed (after a failure) or the if-condition message
+        (after a success)."""
         if not snapshot:
             return run
         stats = self.stats
         if self.mode == "semantic":
             def restoring(G: Graph) -> str:
                 stats.snapshots += 1
-                journal = self._depth > 0
-                if journal:
-                    saved = G.mark()
-                else:
-                    stats.copies += 1
-                    saved = G.copy()
-                self._depth += 1
+                mark = G.mark()
                 try:
                     status = run(G)
                     if status is _FAIL or (status is _OK and not keep):
-                        if journal:
-                            G.rollback(saved)
-                        else:
-                            G.restore(saved)
+                        G.rollback(mark)
                 finally:
-                    self._depth -= 1
-                    if journal:
-                        G.release(saved)
+                    G.release(mark)
                 return status
             return restoring
 

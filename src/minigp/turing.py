@@ -130,6 +130,8 @@ def parse_tm(text: str) -> TuringMachine:
             continue
         header, colon, value = line.partition(":")
         if colon and header in ("start", "accept"):
+            if header in states:
+                raise ParseError(f"line {lineno}: repeated {header}: header")
             try:
                 states[header] = int(value)
             except ValueError:

@@ -165,6 +165,8 @@ class TestErrors:
         (["exec", "no-such-file.tm", "--input", "1"], False, 2, "error:"),
         (["exec", "{tmp}/latin1.tm", "--input", "1"], False, 2, "utf-8"),
         (["exec", "{tmp}/header.tm", "--input", "1"], False, 2, "line 1"),
+        (["exec", "{tmp}/twice.tm", "--input", "1"], False, 2,
+         "line 2: repeated start"),
         (["exec", "{fix}/count.tm", "--input", "21"], False, 2, "over 0/1"),
         (["exec", "{fix}/count.tm", "--input", "00"], False, 1, "input head"),
         (["run", "{fix}/stamp.tm", "--input", "0", "--max-rule-calls", "10"],
@@ -182,8 +184,8 @@ class TestErrors:
          False, 2, "rule-call budget"),
         (["verify", "{fix}/stamp.tm", "--input", "10", "--max-steps", "-2"],
          False, 2, "step budget"),
-    ], ids=["missing-file", "not-utf8", "bad-header", "bad-input",
-            "input-overflow", "rule-budget", "run-undecodable",
+    ], ids=["missing-file", "not-utf8", "bad-header", "repeated-header",
+            "bad-input", "input-overflow", "rule-budget", "run-undecodable",
             "trace-undecodable", "verify-undecodable", "verify-clean",
             "exec-negative-steps", "run-negative-steps",
             "run-negative-rule-calls", "verify-negative-steps"])
@@ -192,6 +194,7 @@ class TestErrors:
         """2 for bad input or an unreadable file, 1 for a RunError."""
         (tmp_path / "latin1.tm").write_bytes("start: 0 # é\n".encode("latin-1"))
         (tmp_path / "header.tm").write_text("start: x\naccept: 1\n")
+        (tmp_path / "twice.tm").write_text("start: 0\nstart: 5\naccept: 1\n")
         if broken_dec:
             monkeypatch.setattr(harness, "dec", undecodable)
         got, _, err = run_cli(capsys, *(a.format(tmp=tmp_path, fix=FIXTURES)

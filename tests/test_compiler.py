@@ -385,43 +385,54 @@ class TestBacktracking:
         times the peak graph space.  The records each rollback pops are
         pinned: on both runs one rollback happens and pops none, so any
         change to how the generated program backtracks shows here."""
-        longest = marks = 0
+        longest = marks = copied = 0
         rollbacks = []
-        mark, rollback = Graph.mark, Graph.rollback
+        mark, rollback, copy = Graph.mark, Graph.rollback, Graph.copy
 
         def marking(G):
             nonlocal marks
             marks += 1
             return mark(G)
 
+        def copying(G):
+            nonlocal copied
+            copied += 1
+            return copy(G)
+
         def measuring(method):
             def measured(G, m):
                 nonlocal longest
-                longest = max(longest, len(G._log))
+                longest = max(longest, len(G._log or ()))
                 method(G, m)
             return measured
 
         def rolling(G, m):
             rollbacks.append(len(G._log) - m.at)
             rollback(G, m)
+        m = make()
+        program, host = gen_sim(m).program, initial_graph(inp, m.start)
         monkeypatch.setattr(Graph, "mark", marking)
+        monkeypatch.setattr(Graph, "copy", copying)
         monkeypatch.setattr(Graph, "rollback", measuring(rolling))
         monkeypatch.setattr(Graph, "release", measuring(Graph.release))
-        m = make()
         interp = Interp(mode="semantic")
-        interp.run(gen_sim(m).program, initial_graph(inp, m.start))
+        interp.run(program, host)
         st = interp.stats
-        assert st.copies == copies
-        assert marks == st.snapshots - st.copies
+        assert copied == copies
+        assert marks == st.snapshots
         assert 0 < longest <= 5 * st.peak_graph_space
         assert rollbacks == [0]
 
     def test_efficient_mode_opens_no_journal(self, monkeypatch):
         def marking(G):
             raise AssertionError("efficient mode opened a journal")
-        monkeypatch.setattr(Graph, "mark", marking)
+
+        def copying(G):
+            raise AssertionError("efficient mode copied the host")
         m = counter_machine()
+        program, host = gen_sim(m).program, initial_graph(counter_input(8), m.start)
+        monkeypatch.setattr(Graph, "mark", marking)
+        monkeypatch.setattr(Graph, "copy", copying)
         interp = Interp(mode="efficient")
-        cfg = interp.run(gen_sim(m).program, initial_graph(counter_input(8), m.start))
+        cfg = interp.run(program, host)
         assert isinstance(cfg, Done)
-        assert interp.stats.copies == 0

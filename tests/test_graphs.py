@@ -1,6 +1,7 @@
 """Graph value type: validity, space, boundedness, snapshots and the undo
 journal, serialization."""
 
+from contextlib import contextmanager
 from random import Random
 
 import pytest
@@ -58,6 +59,15 @@ def mutate(rng, g):
         g.roots.add(rng.choice(nodes))
     else:
         g.roots.discard(rng.choice(nodes))
+
+
+@contextmanager
+def outermost(g):
+    """The outermost window, which copies g, so that every window opened
+    inside it uses the journal."""
+    mark = g.mark()
+    yield
+    g.release(mark)
 
 
 def nested(rng, g):
@@ -221,7 +231,8 @@ class TestMutation:
     def test_restore_undoes_every_mutation(self):
         g, ids = chain(3)
         g.set_root(ids[0])
-        saved, want = g.copy(), g.copy()
+        want = g.copy()
+        mark = g.mark()
         x = g.add_node(Label(4), root=True)
         g.add_edge(ids[2], x)
         g.remove_edge(g.out_edges(ids[1])[0])
@@ -232,7 +243,8 @@ class TestMutation:
         g.set_root(ids[0], False)
         g.set_root(ids[2])
         assert g != want
-        g.restore(saved)
+        g.rollback(mark)
+        g.release(mark)
         assert g == want and to_text(g) == to_text(want)
         assert all(g.out_edges(v) == want.out_edges(v)
                    and g.in_edges(v) == want.in_edges(v) for v in ids)
@@ -245,18 +257,19 @@ class TestMutation:
         g.set_root(ids[0])
         lone = g.add_node(Label(8), root=True)
         want = g.copy()
-        mark = g.mark()
-        x = g.add_node(Label(4), root=True)
-        g.add_edge(ids[2], x)
-        g.remove_edge(g.out_edges(ids[1])[0])
-        g.relabel_node(ids[1], Label(7, "red"))
-        g.remove_node(lone)
-        g.remove_edge(g.add_edge(ids[0], x))
-        g.roots.add(ids[2])
-        g.roots.discard(ids[0])
-        assert g != want
-        g.rollback(mark)
-        g.release(mark)
+        with outermost(g):
+            mark = g.mark()
+            x = g.add_node(Label(4), root=True)
+            g.add_edge(ids[2], x)
+            g.remove_edge(g.out_edges(ids[1])[0])
+            g.relabel_node(ids[1], Label(7, "red"))
+            g.remove_node(lone)
+            g.remove_edge(g.add_edge(ids[0], x))
+            g.roots.add(ids[2])
+            g.roots.discard(ids[0])
+            assert g != want
+            g.rollback(mark)
+            g.release(mark)
         assert_same(g, want)
         assert g.add_node(Label(5)) == want.add_node(Label(5))
         assert g.add_edge(ids[0], ids[2]) == want.add_edge(ids[0], ids[2])
@@ -264,54 +277,67 @@ class TestMutation:
 
     def test_inner_rollback_keeps_outer_changes(self):
         g, ids = chain(2)
-        outer = g.mark()
-        a = g.add_node(Label(1))
-        g.relabel_node(ids[0], Label(2))
-        want = g.copy()
-        inner = g.mark()
-        g.add_edge(a, ids[1])
-        g.relabel_node(ids[0], Label(3))
-        g.remove_edge(g.out_edges(ids[1])[0])
-        g.rollback(inner)
-        g.release(inner)
-        assert_same(g, want)
-        g.release(outer)
+        with outermost(g):
+            outer = g.mark()
+            a = g.add_node(Label(1))
+            g.relabel_node(ids[0], Label(2))
+            want = g.copy()
+            inner = g.mark()
+            g.add_edge(a, ids[1])
+            g.relabel_node(ids[0], Label(3))
+            g.remove_edge(g.out_edges(ids[1])[0])
+            g.rollback(inner)
+            g.release(inner)
+            assert_same(g, want)
+            g.release(outer)
         assert_same(g, want)
 
     def test_outer_rollback_undoes_kept_inner_window(self):
         g, ids = chain(2)
         want = g.copy()
-        outer = g.mark()
-        g.add_node(Label(1), root=True)
-        inner = g.mark()
-        g.remove_edge(g.out_edges(ids[0])[0])
-        g.relabel_node(ids[1], Label(3))
-        g.release(inner)
-        g.add_edge(ids[1], ids[1])
-        g.rollback(outer)
-        g.release(outer)
+        with outermost(g):
+            outer = g.mark()
+            g.add_node(Label(1), root=True)
+            inner = g.mark()
+            g.remove_edge(g.out_edges(ids[0])[0])
+            g.relabel_node(ids[1], Label(3))
+            g.release(inner)
+            g.add_edge(ids[1], ids[1])
+            g.rollback(outer)
+            g.release(outer)
         assert_same(g, want)
 
     def test_journal_closes_with_outermost_window(self):
+        """The journal closes when the last nested window is released, and
+        a mark serves no window after its release."""
         g, ids = chain(2)
+        copy = g.mark()
         outer = g.mark()
         inner = g.mark()
         g.release(inner)
         g.add_node(Label(1))
+        assert g._log is not None
         g.release(outer)
+        assert g._log is None
         g.add_node(Label(2))
-        with pytest.raises(InputError, match="no open journal"):
+        with pytest.raises(InputError, match="no open window"):
             g.rollback(outer)
-        with pytest.raises(InputError, match="no open journal"):
+        with pytest.raises(InputError, match="no open window"):
             g.release(outer)
+        g.release(copy)
+        with pytest.raises(InputError, match="no open window"):
+            g.rollback(copy)
+        with pytest.raises(InputError, match="no open window"):
+            g.release(copy)
 
     def test_rollback_rejects_a_mark_past_the_journal(self):
         g, ids = chain(2)
+        g.mark()
         outer = g.mark()
         g.add_node(Label(1))
         inner = g.mark()
         g.rollback(outer)
-        with pytest.raises(InputError, match="no open journal"):
+        with pytest.raises(InputError, match="no open window"):
             g.rollback(inner)
 
     def test_rollback_matches_copy_on_random_mutations(self):
@@ -325,17 +351,42 @@ class TestMutation:
             for _ in range(rng.randint(0, 3)):
                 mutate(rng, g)
             want = g.copy()
-            mark = g.mark()
-            for _ in range(rng.randint(0, 12)):
-                if rng.random() < 0.2:
-                    nested(rng, g)
-                else:
-                    mutate(rng, g)
-            popped += g != want
-            g.rollback(mark)
-            g.release(mark)
+            with outermost(g):
+                mark = g.mark()
+                for _ in range(rng.randint(0, 12)):
+                    if rng.random() < 0.2:
+                        nested(rng, g)
+                    else:
+                        mutate(rng, g)
+                popped += g != want
+                g.rollback(mark)
+                g.release(mark)
             assert_same(g, want)
         assert popped >= 150
+
+    def test_outermost_mark_copies_and_journals_nothing(self, monkeypatch):
+        """The outermost mark calls `Graph.copy` once and opens no journal;
+        a mark nested in it copies nothing and opens the journal."""
+        copied = []
+        copy = Graph.copy
+
+        def counting(g):
+            copied.append(g)
+            return copy(g)
+        monkeypatch.setattr(Graph, "copy", counting)
+        g, ids = chain(2)
+        mark = g.mark()
+        assert copied == [g]
+        x = g.add_node(Label(1))
+        g.add_edge(ids[0], x)
+        g.remove_edge(g.out_edges(ids[1])[0])
+        g.relabel_node(ids[1], Label(2))
+        assert g._log is None
+        inner = g.mark()
+        assert copied == [g] and g._log == []
+        g.release(inner)
+        g.release(mark)
+        assert copied == [g] and g._log is None
 
     def test_equality_ignores_counters(self):
         g = Graph()

@@ -168,3 +168,13 @@ accept: 5
     def test_non_integer_header(self, text, where):
         with pytest.raises(ParseError, match=where):
             parse_tm(text)
+
+    @pytest.mark.parametrize("text, where", [
+        ("start: 0\nstart: 5\naccept: 1\n", "line 2: repeated start"),
+        ("start: 0\naccept: 1\n0 1 2 -> 1 1 S S\naccept: 0\n",
+         "line 4: repeated accept"),
+    ], ids=["start", "accept"])
+    def test_repeated_header(self, text, where):
+        """A second header is an error, as a second transition is."""
+        with pytest.raises(ParseError, match=where):
+            parse_tm(text)

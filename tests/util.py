@@ -636,6 +636,18 @@ def run_program(program, g0, *, mode="semantic", max_rule_calls=None,
     return cfg, interp.stats
 
 
+def restore(g, saved):
+    """Make g become saved, a copy of it taken earlier, in O(1) by adopting
+    its dicts, roots and id counters; saved must not be used afterwards."""
+    g.nodes = saved.nodes
+    g.edges = saved.edges
+    g.roots = saved.roots
+    g._out = saved._out
+    g._in = saved._in
+    g.next_node_id = saved.next_node_id
+    g.next_edge_id = saved.next_edge_id
+
+
 @dataclass(frozen=True)
 class Running:
     prog: tuple
