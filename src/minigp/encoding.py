@@ -171,6 +171,15 @@ def _walk_right(g: Graph, start: int, bad, what: str) -> list[int]:
         seen.add(tgt)
 
 
+def _atoms(g: Graph, vs: list[int]) -> list:
+    """The atoms of the nodes vs, None for an unlabelled node.  Only a
+    graph with an unlabelled node pays for the test of each label."""
+    try:
+        return [g.nodes[v].atom for v in vs]
+    except AttributeError:
+        return [lab and lab.atom for lab in map(g.nodes.__getitem__, vs)]
+
+
 def dec(g: Graph) -> tuple[TMConfiguration, int]:
     """Decode and fully validate a configuration graph.
 
@@ -186,7 +195,7 @@ def dec(g: Graph) -> tuple[TMConfiguration, int]:
     if len(g.roots) != 1:
         bad(f"expected exactly one root, found {len(g.roots)}")
     central = next(iter(g.roots))
-    state = g.nodes[central].atom
+    (state,) = _atoms(g, [central])
     if not isinstance(state, int):
         bad(f"central label {g.nodes[central]} is not a state")
 
@@ -233,7 +242,7 @@ def dec(g: Graph) -> tuple[TMConfiguration, int]:
     if to_ref.keys() != g.nodes.keys():
         bad(f"{len(g.nodes) - len(sections)} nodes outside the schema sections")
 
-    bits = [g.nodes[v].atom for v in inp]
+    bits = _atoms(g, inp)
     if any(x not in (0, 1) for x in bits):
         bad("input node labelled outside {0,1}")
     if targets[GREEN] not in inp:
@@ -244,7 +253,7 @@ def dec(g: Graph) -> tuple[TMConfiguration, int]:
         bad("active block edge targets a non-block node")
     active = blocks.index(targets[DASHED])
 
-    digits = [g.nodes[v].atom for v in cache]
+    digits = _atoms(g, cache)
     if any(d not in (0, 1, 2) for d in digits):
         bad("cache node labelled outside {0,1,2}")
     if targets[EMPTY] not in cache:

@@ -17,7 +17,8 @@ nearly as long as generating them.  Scripts are built only for rules that
 match, and equal compiled pieces are shared between rules, so the
 compiled form stays small.  `RuleSet.candidates` keeps only the rules
 whose left-root labels all occur among the host's root labels, memoized
-under that set of host root labels.
+under that set and, from the first miss on, grouped by their left-root
+labels.  `apply_ruleset` calls `dangling_ok` only for node-deleting rules.
 """
 
 from __future__ import annotations
@@ -144,12 +145,9 @@ class Rule:
 def dangling_ok(match: Match, r: Rule, G: Graph) -> bool:
     """True iff no node slated for deletion keeps a host edge outside the
     match, a pair of slot tuples from r's search plan."""
-    dead = r.script().nodes
-    if not dead:
-        return True
     nimg, eimg = match
     matched = set(eimg)
-    for i in dead:
+    for i in r.script().nodes:
         w = nimg[i]
         if not matched.issuperset(G.out_edges(w)) or \
                 not matched.issuperset(G.in_edges(w)):
@@ -190,20 +188,28 @@ class RuleSet:
     A match maps each left root to a host root with the same label, so a
     rule is a candidate only if all its left-root labels occur among the
     host's root labels.  Skipped rules have zero matches by construction,
-    leaving outcomes and counts unchanged."""
+    leaving outcomes and counts unchanged.  The first memo miss, not the
+    constructor, groups the rules by their left-root labels."""
 
     def __init__(self, rules: list[Rule]):
         self.rules = tuple(rules)
         self._memo: dict[frozenset, tuple[Rule, ...]] = {}
+        self._groups: Optional[list[tuple[frozenset, tuple[int, ...]]]] = None
 
     def candidates(self, G: Graph) -> tuple[Rule, ...]:
         """The rules that can match G, in declared order; memoized under the
         set of root labels, which is all the answer depends on."""
-        key = frozenset([G.nodes[v] for v in G.roots])
+        key = frozenset(map(G.nodes.__getitem__, G.roots))
         found = self._memo.get(key)
         if found is None:
-            found = tuple(r for r in self.rules
-                          if all(r.left.nodes[v] in key for v in r.left.roots))
+            if self._groups is None:
+                groups: dict[frozenset, list[int]] = {}
+                for i, r in enumerate(self.rules):
+                    need = frozenset([r.left.nodes[v] for v in r.left.roots])
+                    groups.setdefault(share(need), []).append(i)
+                self._groups = [(need, tuple(at)) for need, at in groups.items()]
+            found = tuple(map(self.rules.__getitem__, sorted(
+                i for need, at in self._groups if need <= key for i in at)))
             self._memo[share(key)] = found
         return found
 
@@ -222,8 +228,11 @@ def apply_ruleset(G: Graph, rules: RuleSet) -> Outcome:
     total = 0
     chosen = None
     for r in rules.candidates(G):
-        ok = [m for m in match_all(r.plan(), G).matches
-              if dangling_ok(m, r, G)]
+        ok = match_all(r.plan(), G).matches
+        if not ok:
+            continue
+        if r.script().nodes:
+            ok = [m for m in ok if dangling_ok(m, r, G)]
         total += len(ok)
         if ok and chosen is None:
             chosen = (r, ok[0])

@@ -300,6 +300,18 @@ class TestDecValidation:
             dec(g)
         assert fragment in str(err.value)
 
+    def test_unlabelled_nodes(self):
+        """An unlabelled central, input, block or cache node is a malformed
+        graph, rejected for the reason the reference decoder gives."""
+        for v, fragment in [(0, "central label None is not a state"),
+                            (2, "input node labelled outside"),
+                            (7, "node 7 labelled None, schema wants"),
+                            (15, "cache node labelled outside")]:
+            g = self.base()
+            g.relabel_node(v, None)
+            self.expect(g, fragment)
+            assert outcome(dec, g) == outcome(dec_reference, g)
+
     def test_extra_root(self):
         g = self.base()
         g.set_root(1, True)

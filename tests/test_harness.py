@@ -19,7 +19,7 @@ from random import Random
 
 import pytest
 
-from minigp import harness, lang
+from minigp import harness, lang, rules
 from minigp.errors import InputError, RunError
 from minigp.graphs import Graph, graph_space
 from minigp.harness import (
@@ -31,6 +31,7 @@ from minigp.harness import (
 )
 from minigp.lang import Fail, Interp
 from minigp.machines import counter_machine, filler_machine
+from minigp.rules import RuleSet
 from minigp.turing import (
     TuringMachine,
     initial_configuration,
@@ -184,20 +185,24 @@ class TestModes:
 
 class TestPatchedNames:
     """perfbench traces a run by replacing names where the package looks
-    them up: `lang.apply_ruleset`, `Graph.copy` and `Interp.run`, whose
-    Done result must carry the final graph.  `Graph.copy` sees the copies
-    that the outermost saves make, not the saves nested in them, which
-    roll back from the graph's journal."""
+    them up: `lang.apply_ruleset`, `RuleSet.candidates`, `rules.match_all`,
+    `rules.dangling_ok`, `rules.apply`, `Graph.copy` and `Interp.run`,
+    whose Done result must carry the final graph.  `Graph.copy` sees the
+    copies that the outermost saves make, not the saves nested in them,
+    which roll back from the graph's journal."""
 
     @pytest.mark.parametrize("mode", ["semantic", "efficient"])
     def test_wrappers_see_every_call(self, monkeypatch, mode):
-        calls = {"apply_ruleset": 0, "copy": 0}
+        calls = Counter()
         runs = []
 
-        def counting(name, fn):
+        def counting(name, fn, size=None):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                if size is not None:
+                    calls[size] += len(out)
+                return out
             return wrapper
 
         def capturing(interp, *args, **kwargs):
@@ -208,6 +213,11 @@ class TestPatchedNames:
         original_run = Interp.run
         monkeypatch.setattr(lang, "apply_ruleset",
                             counting("apply_ruleset", lang.apply_ruleset))
+        monkeypatch.setattr(RuleSet, "candidates",
+                            counting("candidates", RuleSet.candidates,
+                                     "candidate rules"))
+        for name in ("match_all", "dangling_ok", "apply"):
+            monkeypatch.setattr(rules, name, counting(name, getattr(rules, name)))
         monkeypatch.setattr(Graph, "copy", counting("copy", Graph.copy))
         monkeypatch.setattr(Interp, "run", capturing)
         mx, _, g = run_sim(counter_machine(), counter_input(4), mode=mode)
@@ -215,6 +225,11 @@ class TestPatchedNames:
         assert cfg.graph is g
         stats = interp.stats
         assert calls["apply_ruleset"] == stats.rule_calls == mx.rule_calls
+        assert calls["candidates"] == stats.rule_calls
+        assert calls["match_all"] == calls["candidate rules"] > stats.rule_calls
+        assert calls["apply"] == sum(stats.rule_applications.values()) > 0
+        # The counter's rules delete no node, so no match needs the check.
+        assert calls["dangling_ok"] == 0
         assert (stats.snapshots > 0) == (mode == "semantic")
         # Semantic mode copies only at the outer loop, once per pass.
         assert calls["copy"] == (mx.restarts + 1 if mode == "semantic" else 0)

@@ -4,7 +4,11 @@ import random
 
 import pytest
 
+from minigp import lang, rules
+from minigp.compiler import gen_sim
 from minigp.graphs import EMPTY, Graph, Label, graph_space, to_text
+from minigp.harness import run_sim
+from minigp.machines import counter_machine, filler_machine
 from minigp.matching import match_all
 from minigp.rules import (
     DanglingViolation,
@@ -16,9 +20,10 @@ from minigp.rules import (
     dangling_ok,
     rules_to_text,
 )
-from util import (apply_reference, dangling_ok_reference,
-                  is_static_noop_reference, match_bruteforce, random_graph,
-                  random_rule_and_host, validate_host_graph)
+from util import (apply_reference, candidates_reference, counter_input,
+                  dangling_ok_reference, is_static_noop_reference,
+                  match_bruteforce, random_graph, random_rule_and_host, unary,
+                  validate_host_graph)
 
 
 def single(g):
@@ -308,8 +313,7 @@ class TestRuleSet:
                                       [None, "red"]))
             for G in hosts:
                 cands = ruleset.candidates(G)
-                assert [r for r in rs if any(r is c for c in cands)] == \
-                    list(cands)
+                assert same_rules(cands, candidates_reference(rs, G))
                 for r in rs:
                     if match_all(r.plan(), G).matches:
                         assert any(r is c for c in cands)
@@ -322,6 +326,96 @@ class TestRuleSet:
                     assert to_text(G) == to_text(want[1])
                 applied += out.applied and bool(out.rule.left.roots)
         assert min(roots.values()) >= 20 and applied >= 100 and skipped >= 100
+
+    def test_groups_interleave_in_declared_order(self):
+        """Rules of different left-root label sets interleave, and a rule
+        with an empty left side is a candidate on every host, rootless
+        ones included.  Grouping waits for the first memo miss and is kept
+        for the later ones."""
+        rs = [roots_rule("a1", 0), roots_rule("b1", 1), roots_rule("ab", 1, 0),
+              Rule("skip", Graph(), Graph(), {}), roots_rule("a2", 0),
+              roots_rule("b2", 1), roots_rule("aa", 0, 0), roots_rule("c", 2)]
+        ruleset = RuleSet(rs)
+        assert ruleset._groups is None
+        want = {(): "skip", (0,): "a1 skip a2 aa", (1,): "b1 skip b2",
+                (0, 1): "a1 b1 ab skip a2 b2 aa", (0, 0, 1): "a1 b1 ab skip a2 b2 aa",
+                (3,): "skip", (2, 0): "a1 skip a2 aa c"}
+        groups = None
+        for atoms, names in want.items():
+            G = Graph()
+            for atom in atoms:
+                G.add_node(Label(atom), root=True)
+            G.add_node(Label(2))
+            cands = ruleset.candidates(G)
+            assert " ".join(r.name for r in cands) == names
+            assert same_rules(cands, candidates_reference(rs, G))
+            groups = groups or ruleset._groups
+            assert ruleset._groups is groups
+        assert sorted(i for _, at in groups for i in at) == list(range(len(rs)))
+        assert len(groups) == 5
+
+    @pytest.mark.parametrize("machine,input,misses", [
+        ("filler", unary(4), 1501), ("counter", counter_input(8), 112)])
+    def test_run_misses_agree_with_reference(self, monkeypatch, machine,
+                                             input, misses):
+        """Every memo miss of a simulator run returns the rules the plain
+        filter over the whole set returns; each set groups its rules once."""
+        original = RuleSet.candidates
+        seen = {"misses": 0, "groups": {}}
+
+        def checked(rs, G):
+            before = len(rs._memo)
+            out = original(rs, G)
+            if len(rs._memo) > before:
+                seen["misses"] += 1
+                assert same_rules(out, candidates_reference(rs.rules, G))
+                assert seen["groups"].setdefault(rs, rs._groups) is rs._groups
+            return out
+
+        monkeypatch.setattr(RuleSet, "candidates", checked)
+        m = {"filler": filler_machine, "counter": counter_machine}[machine]()
+        run_sim(m, input)
+        assert seen["misses"] == misses
+
+    def test_gen_sim_leaves_sets_ungrouped(self, monkeypatch):
+        made = []
+
+        class Recorded(RuleSet):
+            def __init__(self, rules):
+                super().__init__(rules)
+                made.append(self)
+
+        monkeypatch.setattr(lang, "RuleSet", Recorded)
+        gen_sim(filler_machine())
+        assert len(made) >= 30
+        assert all(rs._groups is None and not rs._memo for rs in made)
+
+    def test_dangling_checked_only_for_deleting_rules(self, monkeypatch):
+        """The scan calls dangling_ok once per match of the node-deleting
+        rule and never for the relabel rule after it, and reports what a
+        scan that checks every match reports."""
+        calls = []
+        monkeypatch.setattr(rules, "dangling_ok",
+                            lambda m, r, G: calls.append(r.name) or
+                            dangling_ok(m, r, G))
+        for valid in (False, True):
+            G = Graph()
+            x = G.add_node(Label(0), root=True)
+            for _ in range(2):
+                y = G.add_node(Label(1))
+                G.add_edge(x, y, Label(None, "red"))
+                G.add_edge(y, y)
+            if valid:
+                G.add_edge(x, G.add_node(Label(1)), Label(None, "red"))
+            rs = [delete_node_rule(), relabel_rule("fallback", 0, 3)]
+            want, total = _linear_scan(rs, G.copy())
+            calls.clear()
+            out = apply_ruleset(G, RuleSet(rs))
+            # apply checks the match it is given once more.
+            assert calls == ["del"] * (2 + valid) + ["del"] * valid
+            assert out.rule is want[0] is rs[0 if valid else 1]
+            assert out.total_matches == total == 1 + valid
+            assert to_text(G) == to_text(want[1])
 
     def test_static_noop(self):
         skiplike = Rule("skip", Graph(), Graph(), {})
@@ -356,6 +450,19 @@ def _linear_scan(rs, G):
     if want is not None:
         want = (want[0], apply(G, *want))
     return want, total
+
+
+def same_rules(got, want):
+    return list(map(id, got)) == list(map(id, want))
+
+
+def roots_rule(name, *atoms):
+    """A rule that keeps root nodes labelled atoms and changes nothing."""
+    L, R = Graph(), Graph()
+    for atom in atoms:
+        L.add_node(Label(atom), root=True)
+        R.add_node(Label(atom), root=True)
+    return Rule(name, L, R, {v: v for v in L.nodes})
 
 
 def _probe_sides():

@@ -393,6 +393,15 @@ def dangling_ok_reference(match, r, G):
     return True
 
 
+def candidates_reference(rules, G):
+    """The rules whose left-root labels all occur among G's root labels,
+    in declared order, testing every rule: the oracle for
+    RuleSet.candidates."""
+    key = {G.nodes[v] for v in G.roots}
+    return tuple(r for r in rules
+                 if all(r.left.nodes[v] in key for v in r.left.roots))
+
+
 def apply_reference(G, r, match, in_place=False):
     """Rule application, re-sorting the rule's sides on every call: the
     oracle for the compiled application script."""
@@ -528,7 +537,7 @@ def dec_reference(g):
     if len(g.roots) != 1:
         bad(f"expected exactly one root, found {len(g.roots)}")
     central = next(iter(g.roots))
-    state = g.nodes[central].atom
+    state = getattr(g.nodes[central], "atom", None)
     if not isinstance(state, int):
         bad(f"central label {g.nodes[central]} is not a state")
 
@@ -578,7 +587,7 @@ def dec_reference(g):
     if set(sections) != set(g.nodes):
         bad(f"{len(g.nodes) - len(sections)} nodes outside the schema sections")
 
-    bits = [g.nodes[v].atom for v in inp]
+    bits = [getattr(g.nodes[v], "atom", None) for v in inp]
     if any(x not in (0, 1) for x in bits):
         bad("input node labelled outside {0,1}")
     if targets[Label(None, "green")] not in inp:
@@ -589,7 +598,7 @@ def dec_reference(g):
         bad("active block edge targets a non-block node")
     active = blocks.index(targets[Label(None, "dashed")])
 
-    digits = [g.nodes[v].atom for v in cache]
+    digits = [getattr(g.nodes[v], "atom", None) for v in cache]
     if any(d not in (0, 1, 2) for d in digits):
         bad("cache node labelled outside {0,1,2}")
     if targets[Label(None)] not in cache:
