@@ -10,7 +10,7 @@ on one host graph through `_simulator`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 from .compiler import gen_sim, initial_graph
@@ -48,9 +48,8 @@ class Metrics:
     per_step_rule_calls: list[int] = field(default_factory=list)
 
 
-_METRIC_KEYS = ("rule_calls", "tm_steps", "restarts", "peak_graph_space",
-                "tape_squares_used", "final_c", "final_b", "uniform_space",
-                "log_space", "peak_nodes")
+_METRIC_KEYS = tuple(f.name for f in fields(Metrics)
+                     if f.name != "per_step_rule_calls")
 
 
 def metrics_lines(mx: Metrics) -> list[str]:

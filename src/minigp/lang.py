@@ -16,7 +16,8 @@ saves nested in it, so only the outermost save costs a copy.  Efficient
 mode saves nothing and, at those same sites, insists a save would have
 been pointless (no mutation on any path whose result gets discarded).
 At every other site both modes run the subprogram bare.  Peak graph
-space is noted only after rules that can raise it (`Rule.may_grow`).
+space is noted only after rules that can raise it (the cached
+`Rule.may_grow` attribute).
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class RuleCall(Com):
         # always applies.
         rules = self.rules.rules
         self._flags(all(r.left.nodes for r in rules),
-                    not all(r.is_static_noop() for r in rules), False)
+                    not all(r.is_static_noop for r in rules), False)
 
 
 @dataclass(eq=False, frozen=True)
@@ -528,9 +529,9 @@ class Interp:
             if not applied:
                 return _FAIL
             counts[rule.name] += 1
-            if not rule.is_static_noop():
+            if not rule.is_static_noop:
                 stats.mutations += 1
-            if rule.may_grow():
+            if rule.may_grow:
                 note(G)
             if hook is not None:
                 hook(rule.name, G)

@@ -5,25 +5,30 @@ Application deletes the matched image of the left side (edges, then non-
 interface nodes), adds the right side's new nodes and all of its edges, and
 relabels/re-roots the interface images from the right side.
 
-A rule compiles on first use: `plan` gives its left side's search plan,
-and `script` the application script that `apply` and `dangling_ok` replay
-instead of re-sorting both sides on every call.  A match is the pair of
-host-id tuples that `match_all` returns, indexed by the plan's slots, and
-the script names left items by those slot numbers, so applying a rule
-looks nothing up by left-side id.  Compilation is lazy because a
-generated library holds thousands of rules, many of which a run never
-tries: compiling all 2,656 rules of the filler machine up front takes
-nearly as long as generating them.  Scripts are built only for rules that
-match, and equal compiled pieces are shared between rules, so the
-compiled form stays small.  `RuleSet.candidates` keeps only the rules
-whose left-root labels all occur among the host's root labels, memoized
-under that set and, from the first miss on, grouped by their left-root
-labels.  `apply_ruleset` calls `dangling_ok` only for node-deleting rules.
+A rule compiles on first use into cached attributes: `plan` holds its
+left side's search plan, and `script` the application script that `apply`
+and `dangling_ok` replay instead of re-sorting both sides on every call.
+A match is the pair of host-id tuples that `match_all` returns, indexed
+by the plan's slots, and the script names left items by those slot
+numbers, so applying a rule looks nothing up by left-side id.
+Compilation is lazy because a generated library holds thousands of
+rules, many of which a run never tries: compiling all 2,656 rules of the
+filler machine up front takes nearly as long as generating them.  Plans
+are built for the rules a run tries and scripts for the rules that
+match, except that building a rule call compiles the rules without left
+edges that its effect flags ask about: only the script tells whether
+such a rule is a static no-op (12 rules of a generated library).  Equal
+compiled pieces are shared between rules, so the compiled form stays
+small.  `RuleSet.candidates` keeps only the rules whose left-root labels
+all occur among the host's root labels, memoized under that set and,
+from the first miss on, grouped by their left-root labels.
+`apply_ruleset` calls `dangling_ok` only for node-deleting rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from . import graphs
@@ -64,7 +69,7 @@ class Script(NamedTuple):
 def compile_script(r: Rule) -> Script:
     """The script that applies r at any match of its search plan."""
     L, R = r.left, r.right
-    slot = {lv: i for i, lv in enumerate(r.plan().nodes)}
+    slot = {lv: i for i, lv in enumerate(r.plan.nodes)}
     back = {rv: lv for lv, rv in r.interface.items()}
     new = [rv for rv in sorted(R.nodes) if rv not in back]
     wired = {v for s, t, _ in R.edges.values() for v in (s, t)}
@@ -91,17 +96,14 @@ class Rule:
     """name, left graph, right graph, and the interface node ids shared by
     both sides (mapped left-id -> right-id; the identity map by convention).
 
-    The search plan and the application script are compiled on first use
-    and cached, so the two sides must not change after the rule is used."""
+    `plan`, `script`, `is_static_noop` and `may_grow` are cached
+    attributes, computed on first read, so the two sides must not change
+    after the rule is used."""
 
     name: str
     left: Graph
     right: Graph
     interface: dict[int, int]
-    _plan: Optional[SearchPlan] = field(default=None, repr=False, compare=False)
-    _script: Optional[Script] = field(default=None, repr=False, compare=False)
-    _noop: Optional[bool] = field(default=None, repr=False, compare=False)
-    _grows: Optional[bool] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for lv, rv in self.interface.items():
@@ -110,36 +112,32 @@ class Rule:
         if len(set(self.interface.values())) != len(self.interface):
             raise InputError(f"rule {self.name}: interface is not a bijection")
 
+    @cached_property
     def plan(self) -> SearchPlan:
         """The left side's search plan."""
-        if self._plan is None:
-            self._plan = compile_plan(self.left)
-        return self._plan
+        return compile_plan(self.left)
 
+    @cached_property
     def script(self) -> Script:
         """The application script."""
-        if self._script is None:
-            self._script = compile_script(self)
-        return self._script
+        return compile_script(self)
 
+    @cached_property
     def is_static_noop(self) -> bool:
         """True iff applying the rule can never change any host graph: its
         left side has no edge to delete, and its application script deletes,
         adds, relabels and re-roots nothing."""
-        if self._noop is None:
-            self._noop = not self.left.edges and not any(self.script())
-        return self._noop
+        return not self.left.edges and not any(self.script)
 
+    @cached_property
     def may_grow(self) -> bool:
         """True iff applying the rule can raise a host's node count or its
         graph space: it adds more nodes than it deletes, or more nodes and
         edges together (an application deletes every left edge)."""
-        if self._grows is None:
-            s = self.script()
-            added, deleted = len(s.add), len(s.nodes)
-            self._grows = added > deleted or \
-                added + len(s.wire) > deleted + len(self.left.edges)
-        return self._grows
+        s = self.script
+        added, deleted = len(s.add), len(s.nodes)
+        return added > deleted or \
+            added + len(s.wire) > deleted + len(self.left.edges)
 
 
 def dangling_ok(match: Match, r: Rule, G: Graph) -> bool:
@@ -147,7 +145,7 @@ def dangling_ok(match: Match, r: Rule, G: Graph) -> bool:
     match, a pair of slot tuples from r's search plan."""
     nimg, eimg = match
     matched = set(eimg)
-    for i in r.script().nodes:
+    for i in r.script.nodes:
         w = nimg[i]
         if not matched.issuperset(G.out_edges(w)) or \
                 not matched.issuperset(G.in_edges(w)):
@@ -160,7 +158,7 @@ def apply(G: Graph, r: Rule, match: Match) -> Graph:
     plan, by deleting every matched edge and replaying the script; rewrites
     G in place and returns it.  Preserved items keep their ids; new nodes
     and all right-side edges get fresh ids in ascending rule-id order."""
-    s = r.script()
+    s = r.script
     if s.nodes and not dangling_ok(match, r, G):
         raise DanglingViolation(f"rule {r.name} at {match}")
     nimg, eimg = match
@@ -228,10 +226,10 @@ def apply_ruleset(G: Graph, rules: RuleSet) -> Outcome:
     total = 0
     chosen = None
     for r in rules.candidates(G):
-        ok = match_all(r.plan(), G).matches
+        ok = match_all(r.plan, G).matches
         if not ok:
             continue
-        if r.script().nodes:
+        if r.script.nodes:
             ok = [m for m in ok if dangling_ok(m, r, G)]
         total += len(ok)
         if ok and chosen is None:

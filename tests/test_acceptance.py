@@ -71,7 +71,7 @@ def _best_batch_seconds(rule: Rule, host: Graph, calls: int = 20,
                         reps: int = 100) -> float:
     """Best time of a batch of matches with the rule's cached search plan,
     the path the rule-set scan runs."""
-    plan = rule.plan()
+    plan = rule.plan
     best = math.inf
     for _ in range(reps):
         t0 = time.perf_counter()

@@ -167,8 +167,8 @@ class TestLibrary:
 
     def test_unfinished_is_a_static_noop_and_setflag_is_not(self):
         sim = gen_sim(ONES)
-        assert all(r.is_static_noop() for r in sim.library["Unfinished"])
-        assert not any(r.is_static_noop() for r in sim.library["SetFlag"])
+        assert all(r.is_static_noop for r in sim.library["Unfinished"])
+        assert not any(r.is_static_noop for r in sim.library["SetFlag"])
 
     def test_program_inlines_all_procedures(self):
         sim = gen_sim(ONES)

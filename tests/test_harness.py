@@ -9,6 +9,7 @@ import ast
 import importlib
 import io
 import math
+import platform
 import re
 import sys
 import tokenize
@@ -233,6 +234,40 @@ class TestPatchedNames:
         assert (stats.snapshots > 0) == (mode == "semantic")
         # Semantic mode copies only at the outer loop, once per pass.
         assert calls["copy"] == (mx.restarts + 1 if mode == "semantic" else 0)
+
+
+class TestCallBudget:
+    """Python-level calls per rule call on filler unary(2), counted with a
+    profile hook around `Interp.run`.  Each budget sits 0.5 or less above
+    the count measured with CPython 3.11.7: 12.63 in efficient mode and
+    13.48 in semantic mode.  Counts from other Python versions are not
+    comparable."""
+
+    @pytest.mark.parametrize("mode, budget", [("efficient", 13.1),
+                                              ("semantic", 13.9)])
+    def test_python_calls_per_rule_call(self, monkeypatch, mode, budget):
+        calls = 0
+
+        def hook(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        def profiled(interp, *args, **kwargs):
+            previous = sys.getprofile()
+            sys.setprofile(hook)
+            try:
+                return original_run(interp, *args, **kwargs)
+            finally:
+                sys.setprofile(previous)
+
+        original_run = Interp.run
+        monkeypatch.setattr(Interp, "run", profiled)
+        mx = run_sim(filler_machine(), unary(2), mode=mode)[0]
+        per_call = calls / mx.rule_calls
+        assert per_call <= budget, (
+            f"{per_call:.2f} Python calls per rule call in {mode} mode, "
+            f"budget {budget}, Python {platform.python_version()}")
 
 
 class TestBench:

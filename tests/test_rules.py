@@ -1,6 +1,7 @@
 """Rule application: dangling condition, deletion/relabelling, rule sets."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -29,7 +30,7 @@ from util import (apply_reference, candidates_reference, counter_input,
 def single(g):
     """The unique match of g's left side, for tests that know it exists."""
     rule, host = g
-    ms = match_all(rule.plan(), host).matches
+    ms = match_all(rule.plan, host).matches
     assert len(ms) == 1
     return ms[0]
 
@@ -139,7 +140,7 @@ class TestApply:
         r = Rule("unroot", L, R, {0: 0})
         G = Graph()
         G.add_node(Label(0), root=True)
-        H = apply(G, r, match_all(r.plan(), G).matches[0])
+        H = apply(G, r, match_all(r.plan, G).matches[0])
         assert H.roots == set()
 
     def test_new_root_added(self):
@@ -199,7 +200,7 @@ class TestApply:
         G.add_edge(x, y, Label(None, "red"))
         H = apply(G.copy(), r, single((r, G)))
         assert not isomorphic(H, G)
-        comatches = match_all(inv.plan(), H).matches
+        comatches = match_all(inv.plan, H).matches
         assert len(comatches) == 1
         back = apply(H, inv, comatches[0])
         assert isomorphic(back, G)
@@ -222,9 +223,9 @@ class TestApplyOracle:
         triples = dangling = noops = 0
         while triples < 600:
             r, G = random_rule_and_host(rng)
-            assert r.is_static_noop() == is_static_noop_reference(r)
-            noops += r.is_static_noop()
-            for h in match_all(r.plan(), G).matches:
+            assert r.is_static_noop == is_static_noop_reference(r)
+            noops += r.is_static_noop
+            for h in match_all(r.plan, G).matches:
                 triples += 1
                 ok = dangling_ok_reference(h, r, G)
                 assert dangling_ok(h, r, G) == ok
@@ -247,7 +248,7 @@ class TestApplyOracle:
         seen = {"space": 0, "nodes only": 0, "neither": 0}
         while sum(seen.values()) < 400:
             r, G = random_rule_and_host(rng)
-            for h in match_all(r.plan(), G).matches:
+            for h in match_all(r.plan, G).matches:
                 if not dangling_ok(h, r, G):
                     continue
                 H = apply(G.copy(), r, h)
@@ -257,7 +258,7 @@ class TestApplyOracle:
                     kind = "nodes only"
                 else:
                     kind = "neither"
-                assert r.may_grow() == (kind != "neither"), kind
+                assert r.may_grow == (kind != "neither"), kind
                 seen[kind] += 1
         assert min(seen.values()) >= 30
 
@@ -315,7 +316,7 @@ class TestRuleSet:
                 cands = ruleset.candidates(G)
                 assert same_rules(cands, candidates_reference(rs, G))
                 for r in rs:
-                    if match_all(r.plan(), G).matches:
+                    if match_all(r.plan, G).matches:
                         assert any(r is c for c in cands)
                 skipped += len(rs) - len(cands)
                 want, total = _linear_scan(rs, G.copy())
@@ -378,6 +379,9 @@ class TestRuleSet:
         assert seen["misses"] == misses
 
     def test_gen_sim_leaves_sets_ungrouped(self, monkeypatch):
+        """Building a simulator groups no rule set and compiles only the 12
+        rules without left edges, whose no-op test reads the script; a run
+        compiles each rule at most once."""
         made = []
 
         class Recorded(RuleSet):
@@ -386,9 +390,35 @@ class TestRuleSet:
                 made.append(self)
 
         monkeypatch.setattr(lang, "RuleSet", Recorded)
-        gen_sim(filler_machine())
+        for m in (filler_machine(), counter_machine()):
+            library = gen_sim(m).library.values()
+            compiled = [r for rs in library for r in rs
+                        if "plan" in vars(r) or "script" in vars(r)]
+            assert len(compiled) == 12
+            assert not any(r.left.edges for r in compiled)
         assert len(made) >= 30
         assert all(rs._groups is None and not rs._memo for rs in made)
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(arg):
+                calls[name] += 1
+                return fn(arg)
+            return wrapper
+
+        for name in ("compile_plan", "compile_script"):
+            monkeypatch.setattr(rules, name, counted(name, getattr(rules, name)))
+        for mode in ("efficient", "semantic"):
+            calls.clear()
+            made.clear()
+            run_sim(filler_machine(), unary(4), mode=mode)
+            called = {id(r): r for rs in made for r in rs.rules}.values()
+            for name in ("plan", "script"):
+                have = [r for r in called if name in vars(r)]
+                # A rule compiled twice would make the calls outnumber them.
+                assert calls["compile_" + name] == len(have) > 12
+                assert all(getattr(r, name) is getattr(r, name) for r in have)
 
     def test_dangling_checked_only_for_deleting_rules(self, monkeypatch):
         """The scan calls dangling_ok once per match of the node-deleting
@@ -419,11 +449,11 @@ class TestRuleSet:
 
     def test_static_noop(self):
         skiplike = Rule("skip", Graph(), Graph(), {})
-        assert skiplike.is_static_noop()
+        assert skiplike.is_static_noop
         probe = Rule("probe", *_probe_sides(), {0: 0})
-        assert probe.is_static_noop()
-        assert not relabel_rule("a", 0, 1).is_static_noop()
-        assert not delete_node_rule().is_static_noop()
+        assert probe.is_static_noop
+        assert not relabel_rule("a", 0, 1).is_static_noop
+        assert not delete_node_rule().is_static_noop
         # Its script deletes no node and changes no label or root, but
         # applying it deletes the matched edge.
         L = Graph()
@@ -434,8 +464,8 @@ class TestRuleSet:
         R.add_node(Label(0), root=True)
         R.add_node(Label(1))
         cut = Rule("cut", L, R, {a: 0, b: 1})
-        assert not any(cut.script())
-        assert not cut.is_static_noop()
+        assert not any(cut.script)
+        assert not cut.is_static_noop
 
 
 def _linear_scan(rs, G):
@@ -443,7 +473,7 @@ def _linear_scan(rs, G):
     or None, and the number of applicable matches over all of rs."""
     total, want = 0, None
     for r in rs:
-        ok = [m for m in match_all(r.plan(), G).matches if dangling_ok(m, r, G)]
+        ok = [m for m in match_all(r.plan, G).matches if dangling_ok(m, r, G)]
         total += len(ok)
         if ok and want is None:
             want = (r, ok[0])

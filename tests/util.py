@@ -378,7 +378,7 @@ def morphism(plan, match):
 
 def dangling_ok_reference(match, r, G):
     """The dangling condition, walking the rule's sides on every call."""
-    h = morphism(r.plan(), match)
+    h = morphism(r.plan, match)
     matched_edges = set(h.edge_map.values())
     for lv in r.left.nodes:
         if lv in r.interface:
@@ -407,7 +407,7 @@ def apply_reference(G, r, match, in_place=False):
     oracle for the compiled application script."""
     if not dangling_ok_reference(match, r, G):
         raise DanglingViolation(f"rule {r.name} at {match}")
-    h = morphism(r.plan(), match)
+    h = morphism(r.plan, match)
     H = G if in_place else G.copy()
     for e in sorted(h.edge_map):
         H.remove_edge(h.edge_map[e])
@@ -784,7 +784,7 @@ class StepInterp:
         if not out.applied:
             return None
         st.rule_applications[out.rule.name] += 1
-        if not out.rule.is_static_noop():
+        if not out.rule.is_static_noop:
             st.mutations += 1
         self._note(H)
         return H
