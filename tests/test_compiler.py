@@ -26,7 +26,8 @@ from minigp.turing import (
     initial_configuration,
     tm_run,
 )
-from util import check_boundedness, counter_input, run_program, unary
+from util import (FIXTURES, check_boundedness, counter_input, fixture_machine,
+                  run_program, unary)
 
 EMPTY_M = TuringMachine(0, 0, {})
 ONES = TuringMachine(0, 1, {
@@ -120,12 +121,15 @@ class TestInitialGraph:
 
 
 class TestSetup:
-    def test_setup_reproduces_level_zero_encoding(self):
-        sim = gen_sim(ONES)
-        g = initial_graph("110100", ONES.start)
-        out = apply_ruleset(g, RuleSet(sim.library["setup"]))
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.tm")))
+    def test_setup_reproduces_level_zero_encoding(self, name, n):
+        m = fixture_machine(name)
+        input = "110100101"[:n]
+        g = initial_graph(input, m.start)
+        out = apply_ruleset(g, RuleSet(gen_sim(m).library["setup"]))
         assert out.applied
-        assert g == enc(initial_configuration(ONES, "110100"), 0)
+        assert g == enc(initial_configuration(m, input), 0)
 
     def test_setup_then_dec_roundtrip(self):
         sim = gen_sim(RUN3)

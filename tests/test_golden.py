@@ -1,11 +1,16 @@
 """Golden-metrics gate: exact run outputs on a fixed matrix of machines.
 
 For every case the simulator's outputs are pinned in golden_metrics.json:
-rule_calls, restarts, peak_graph_space, a sha256 of per_step_rule_calls
-and a sha256 of the final graph's text (ids included).  Every case runs in
-efficient mode; cases that take under a second in semantic mode run there
-too.  Any change to matching, application or the interpreter must leave
-all of them bit-identical.
+rule_calls, restarts, peak_graph_space, a sha256 of per_step_rule_calls,
+a sha256 of the final graph's text (ids included) and a sha256 of the
+decoded configuration stream: one line per completed step, replays after a
+restart included.  Every case runs in efficient mode; cases that take
+under a second in semantic mode run there too.  Any change to matching,
+application or the interpreter must leave all of them bit-identical.
+
+The `minigp gen` text of each random machine is pinned as well, so a
+change to the compiler must leave the generated program byte-identical
+on machines beyond the fixtures.
 
 The golden file is regenerated only when an output change is intended:
 
@@ -25,6 +30,7 @@ import pytest
 from conftest import RANDOM_SEED
 
 from minigp import graphs
+from minigp.cli import main
 from minigp.harness import run_sim
 from minigp.machines import counter_machine, filler_machine
 from util import counter_input, fixture_machine, random_machine_pair, unary
@@ -56,7 +62,9 @@ def digest(text: str) -> str:
 
 def observe(m, input: str, mode: str) -> dict:
     """The pinned outputs of one simulator run."""
-    mx, _, final = run_sim(m, input, mode=mode)
+    steps = []
+    mx, _, final = run_sim(m, input, mode=mode,
+                           trace=lambda i, s: steps.append(f"{i} {s!r}\n"))
     return {
         "rule_calls": mx.rule_calls,
         "per_step_rule_calls_sha256":
@@ -64,6 +72,7 @@ def observe(m, input: str, mode: str) -> dict:
         "restarts": mx.restarts,
         "peak_graph_space": mx.peak_graph_space,
         "graph_sha256": digest(graphs.to_text(final)),
+        "decoded_sha256": digest("".join(steps)),
     }
 
 
@@ -89,6 +98,49 @@ def test_golden_metrics(golden, label, m, input, mode):
 
 def test_golden_covers_every_case(golden):
     assert list(golden) == [label for label, _, _ in cases()]
+
+
+# sha256 of the `minigp gen` output for each random machine.
+GEN_SHA256 = {
+    "random-0": "1743b73ac5e6dd25a050108e9e823efaa0f2cbc307f5fed0a86322aa35900eaa",
+    "random-1": "a7f3791905a5e4eaa729dd8d5ff05d5b007e80fd79fed4d970345cc35a00d0bf",
+    "random-2": "a312f1c959f321a596f3941e0b5555b876f8dea4e57e051e610ef9eded946dbe",
+    "random-3": "e552db2987054ee0953d37224285c873a49e912ddf179d47e32fe17982f3e051",
+    "random-4": "be8f40cfab966f684d829f667636effa6d5145c692878d5738349462b2540943",
+    "random-5": "a0819802fcf00ef79c1cf805c2f02ab9ad52e2ddf6f71f877bf5faac559801d2",
+    "random-6": "f98c78dc7bbfb2f5c33423300f9e388c19a745ded174658d206d894db0f5e1ec",
+    "random-7": "481f52bb24245605d3cdecf37417ef4a01ecabeab945a601ffe5bc2292c82a67",
+    "random-8": "20a5c41882df04a34f8f162fc5b91692f4a8f978d6b4aa95fb51c5f90ea4beae",
+    "random-9": "7addbad534c3dfd1d68ad77fc090e27603449d6b4644402c39dba55e21dc37bc",
+    "random-10": "b3223aa665a576504421de8e015ed5546ebf0f55f7829097f6171b2d9a6363a8",
+    "random-11": "e50ad8cab3aabaf619760ccc7587fe40ac569fd77c084a66837d9552d8fa0e83",
+    "random-12": "fee8d4bf20c1d9c66dd1de86e50afb1a67b90abaca4f98cd3610fbf1f230cf83",
+    "random-13": "7dfdec01480a151e6299002021ab5454b4dc61c91a0a9ec986fee4106fff52f9",
+    "random-14": "68d09f8c28c56b0c763937d5b03ccea07de4985889acc1e76ee4e21107f97212",
+    "random-15": "9d7f3afcdda22bde8a4db16aaca9b639aff671a8ab6ffde81e1280f63126570c",
+    "random-16": "6914be37342b59dd34e4070cc2dd13374554dd003bbd1925603e58a93d215d1a",
+    "random-17": "b5b4f1345e37d41a3381dbfca62cb8368d090b078febfb94f206062196bafb5e",
+    "random-18": "d64b3b3953083bf53911cbd406743bad666b846ca4fe2ae23164c1d8ad37d5f2",
+    "random-19": "0846d3448a3801b8cda1808110d64b8fefc0ba8f7d47f23f7d5bf4739dc17880",
+}
+
+
+def tm_text(m) -> str:
+    """m in the `.tm` file format `minigp` reads."""
+    lines = [f"start: {m.start}", f"accept: {m.accept}"]
+    lines += [f"{q} {a} {x} -> {p} {y} {d1} {d2}"
+              for (q, a, x), (p, y, d1, d2) in sorted(m.delta.items())]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "label, m", [pytest.param(label, m, id=label) for label, m, _ in cases()
+                 if label in GEN_SHA256])
+def test_gen_pinned(tmp_path, capsys, label, m):
+    path = tmp_path / f"{label}.tm"
+    path.write_text(tm_text(m))
+    assert main(["gen", str(path)]) == 0
+    assert digest(capsys.readouterr().out) == GEN_SHA256[label]
 
 
 def write() -> None:

@@ -75,6 +75,14 @@ class TestLockstep:
         assert report.ok
         assert report.steps_checked == 2 ** (length + 2) - 2
 
+    def test_filler_climbs_to_the_largest_blockset(self):
+        """Filler unary(10) restarts up to c=5 (b=243), so every rewritten
+        rule is checked step by step on a large graph."""
+        report = lockstep_verify(filler_machine(), unary(10))
+        assert report.ok
+        assert report.steps_checked == 850
+        assert report.restarts == 3
+
     def test_counter_all_ones_input(self):
         report = lockstep_verify(counter_machine(), "1111")
         assert report.ok and report.steps_checked == 6
