@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encoding import BLUE, DASHED, GREEN, GREEN_I, RED, EncodingParams
+from .encoding import BLUE, DASHED, GREEN, GREEN_I, RED, layout
 from .graphs import EMPTY, Graph, Label
 from .lang import Loop, Program, parse_program
 from .rules import Rule
-from .turing import TuringMachine, check_input
+from .turing import TMConfiguration, TuringMachine, check_input
 
 MARK_L = Label("L")
 MARK_R = Label("R")
@@ -75,43 +75,42 @@ class _RB:
     def redge(self, src: int, tgt: int, label: Label) -> None:
         self.right.add_edge(src, tgt, label)
 
+    def keep(self, src: int, tgt: int, label: Label) -> None:
+        """An edge the rule leaves in place, on both sides."""
+        self.ledge(src, tgt, label)
+        self.redge(src, tgt, label)
+
     def build(self) -> Rule:
         return Rule(self.name, self.left, self.right, self.interface)
 
 
 def initial_graph(input: str, start: int = 0) -> Graph:
-    """Central root plus the INPUT list and both green edges; no tape yet."""
+    """The central root and the INPUT section of the enc_0 layout of the
+    initial configuration, with both green edges; no tape yet."""
     check_input(input)
+    labels, edges = layout(TMConfiguration(start, input, 0, "", 0), 0)
+    n = len(input)
     g = Graph()
-    central = g.add_node(Label(start), root=True)
-    inp = [g.add_node(Label(int(ch))) for ch in input]
-    g.add_edge(central, inp[0], GREEN_I)
-    g.add_edge(central, inp[0], GREEN)
-    for i in range(len(inp) - 1):
-        g.add_edge(inp[i], inp[i + 1], RED)
-        g.add_edge(inp[i + 1], inp[i], BLUE)
+    for lab in labels[:n + 1]:
+        g.add_node(lab)
+    g.set_root(0)
+    for src, tgt, lab in edges:
+        if src <= n and tgt <= n:
+            g.add_edge(src, tgt, lab)
     return g
 
 
 def _setup(start: int) -> Rule:
-    level = EncodingParams(0)
-    b, c = level.b, level.c
+    """Add the rest of the enc_0 layout to the central root: the layout of
+    a one-symbol input minus its input node 1, later ids one lower."""
+    labels, edges = layout(TMConfiguration(start, "0", 0, "", 0), 0)
     r = _RB("setup")
-    central = r.node(Label(start), root=True)
-    blocks = [r.new(EMPTY) for _ in range(b)]
-    cache = [r.new(Label(2)) for _ in range(c)]
-    for i in range(b - 1):
-        r.redge(blocks[i], blocks[i + 1], RED)
-        r.redge(blocks[i + 1], blocks[i], BLUE)
-    for i in range(b):
-        r.redge(blocks[i], blocks[0] if i == 0 else blocks[b - 1], DASHED)
-    r.redge(central, blocks[0], BLUE)
-    r.redge(central, blocks[0], DASHED)
-    for i in range(c - 1):
-        r.redge(cache[i], cache[i + 1], RED)
-        r.redge(cache[i + 1], cache[i], BLUE)
-    r.redge(central, cache[-1], RED)
-    r.redge(central, cache[0], EMPTY)
+    r.node(labels[0], root=True)
+    for lab in labels[2:]:
+        r.new(lab)
+    for src, tgt, lab in edges:
+        if 1 not in (src, tgt):
+            r.redge(src - (src > 1), tgt - (tgt > 1), lab)
     return r.build()
 
 
@@ -133,9 +132,7 @@ def gen_transitions(m: TuringMachine) -> list[Rule]:
                 r.redge(central, i0, GREEN)
             else:
                 i1 = r.node(Label(b))
-                link = BLUE if d1 == "L" else RED
-                r.ledge(i0, i1, link)
-                r.redge(i0, i1, link)
+                r.keep(i0, i1, BLUE if d1 == "L" else RED)
                 r.redge(central, i1, GREEN)
             r.redge(central, k0, {"S": EMPTY, "L": MARK_L, "R": MARK_R}[d2])
             rules.append(r.build())
@@ -150,8 +147,7 @@ def _head_step(name: str, q: int, x: int, y: int, head: Label, link: Label) -> R
     k0 = r.node(Label(x))
     k1 = r.node(Label(y))
     r.ledge(central, k0, head)
-    r.ledge(k0, k1, link)
-    r.redge(k0, k1, link)
+    r.keep(k0, k1, link)
     r.redge(central, k1, EMPTY)
     return r.build()
 
@@ -172,8 +168,7 @@ def _shift_active(name: str, q: int, link: Label) -> Rule:
     a = r.node(EMPTY)
     nbr = r.node(EMPTY)
     r.ledge(central, a, DASHED)
-    r.ledge(a, nbr, link)
-    r.redge(a, nbr, link)
+    r.keep(a, nbr, link)
     r.redge(central, nbr, DASHED)
     return r.build()
 
@@ -192,107 +187,64 @@ def _cursor_move(name: str, before: Label, after: Label, link: Label) -> Rule:
     tgt_plain = Label(after.atom)
     n = r.node(before, src_plain, root=True, right_root=False)
     m_ = r.node(tgt_plain, after, right_root=True)
-    r.ledge(n, m_, link)
-    r.redge(n, m_, link)
+    r.keep(n, m_, link)
     return r.build()
 
 
-def _encode_init(q: int) -> Rule:
-    r = _RB(f"EncodeInit_{q}")
+def _root_at(name: str, q: int, link: Label, before: Label,
+             after: Label) -> Rule:
+    """Put a traversal root on the `link` target of central node q,
+    relabelling the target from `before` to `after`."""
+    r = _RB(name)
     central = r.node(Label(q), root=True)
-    b0 = r.node(EMPTY, BLUE_ROOT, right_root=True)
-    r.ledge(central, b0, BLUE)
-    r.redge(central, b0, BLUE)
+    r.keep(central, r.node(before, after, right_root=True), link)
     return r.build()
 
 
 def _decode_init(q: int) -> list[Rule]:
+    """Root the active block's dashed target t; t is a separate node or,
+    in `_loop`, the active block a itself."""
     out = []
-    r = _RB(f"DecodeInit_{q}")
-    central = r.node(Label(q), root=True)
-    a = r.node(EMPTY)
-    t = r.node(EMPTY, BLUE_ROOT, right_root=True)
-    r.ledge(central, a, DASHED)
-    r.ledge(a, t, DASHED)
-    r.redge(central, a, DASHED)
-    r.redge(a, t, DASHED)
-    out.append(r.build())
-    r = _RB(f"DecodeInit_{q}_loop")
-    central = r.node(Label(q), root=True)
-    a = r.node(EMPTY, BLUE_ROOT, right_root=True)
-    r.ledge(central, a, DASHED)
-    r.ledge(a, a, DASHED)
-    r.redge(central, a, DASHED)
-    r.redge(a, a, DASHED)
-    out.append(r.build())
+    for suffix, t_is_a in (("", False), ("_loop", True)):
+        r = _RB(f"DecodeInit_{q}{suffix}")
+        central = r.node(Label(q), root=True)
+        a = r.node(EMPTY, BLUE_ROOT if t_is_a else EMPTY, right_root=t_is_a)
+        t = a if t_is_a else r.node(EMPTY, BLUE_ROOT, right_root=True)
+        r.keep(central, a, DASHED)
+        r.keep(a, t, DASHED)
+        out.append(r.build())
     return out
+
+
+# Update's coincidence patterns: the node the old target b is (a, b or t)
+# and the node the traversal root t is (a or t).
+_UPDATES = (("split", "b", "t"), ("self", "a", "t"), ("stay", "t", "t"),
+            ("onto", "b", "a"), ("all", "a", "a"))
 
 
 def _update(q: int) -> list[Rule]:
     """Retarget the active block's dashed edge onto the traversal root and
-    clear the root; one rule per coincidence pattern of (active, old target,
-    root), which injective matching keeps mutually exclusive."""
+    clear the root; one rule per coincidence pattern of (active a, old
+    target b, root t), which injective matching keeps mutually exclusive.
+    Nodes are created in the order central, a, b, t."""
     out = []
+    for name, b_is, t_is in _UPDATES:
+        r = _RB(f"Update_{q}_{name}")
+        central = r.node(Label(q), root=True)
 
-    r = _RB(f"Update_{q}_split")
-    central = r.node(Label(q), root=True)
-    a = r.node(EMPTY)
-    b = r.node(EMPTY)
-    t = r.node(BLUE_ROOT, EMPTY, root=True, right_root=False)
-    r.ledge(central, a, DASHED)
-    r.ledge(a, b, DASHED)
-    r.redge(central, a, DASHED)
-    r.redge(a, t, DASHED)
-    out.append(r.build())
+        def root() -> int:
+            return r.node(BLUE_ROOT, EMPTY, root=True, right_root=False)
 
-    r = _RB(f"Update_{q}_self")
-    central = r.node(Label(q), root=True)
-    a = r.node(EMPTY)
-    t = r.node(BLUE_ROOT, EMPTY, root=True, right_root=False)
-    r.ledge(central, a, DASHED)
-    r.ledge(a, a, DASHED)
-    r.redge(central, a, DASHED)
-    r.redge(a, t, DASHED)
-    out.append(r.build())
-
-    r = _RB(f"Update_{q}_stay")
-    central = r.node(Label(q), root=True)
-    a = r.node(EMPTY)
-    t = r.node(BLUE_ROOT, EMPTY, root=True, right_root=False)
-    r.ledge(central, a, DASHED)
-    r.ledge(a, t, DASHED)
-    r.redge(central, a, DASHED)
-    r.redge(a, t, DASHED)
-    out.append(r.build())
-
-    r = _RB(f"Update_{q}_onto")
-    central = r.node(Label(q), root=True)
-    a = r.node(BLUE_ROOT, EMPTY, root=True, right_root=False)
-    b = r.node(EMPTY)
-    r.ledge(central, a, DASHED)
-    r.ledge(a, b, DASHED)
-    r.redge(central, a, DASHED)
-    r.redge(a, a, DASHED)
-    out.append(r.build())
-
-    r = _RB(f"Update_{q}_all")
-    central = r.node(Label(q), root=True)
-    a = r.node(BLUE_ROOT, EMPTY, root=True, right_root=False)
-    r.ledge(central, a, DASHED)
-    r.ledge(a, a, DASHED)
-    r.redge(central, a, DASHED)
-    r.redge(a, a, DASHED)
-    out.append(r.build())
+        v = {"a": root() if t_is == "a" else r.node(EMPTY)}
+        if b_is == "b":
+            v["b"] = r.node(EMPTY)
+        if t_is == "t":
+            v["t"] = root()
+        r.keep(central, v["a"], DASHED)
+        r.ledge(v["a"], v[b_is], DASHED)
+        r.redge(v["a"], v[t_is], DASHED)
+        out.append(r.build())
     return out
-
-
-def _cache_init(q: int, x: int) -> Rule:
-    r = _RB(f"CacheInit_{q}_{x}")
-    central = r.node(Label(q), root=True)
-    n = r.node(Label(x), Label(x, "red"), right_root=True)
-    r.ledge(central, n, RED)
-    r.redge(central, n, RED)
-    return r.build()
 
 
 def _rewind_input(start: int, a: int, b: int) -> Rule:
@@ -300,9 +252,8 @@ def _rewind_input(start: int, a: int, b: int) -> Rule:
     central = r.node(Label(start), root=True)
     first = r.node(Label(a))
     head = r.node(Label(b))
-    r.ledge(central, first, GREEN_I)
+    r.keep(central, first, GREEN_I)
     r.ledge(central, head, GREEN)
-    r.redge(central, first, GREEN_I)
     r.redge(central, first, GREEN)
     return r.build()
 
@@ -313,18 +264,8 @@ def _rewind_blockset(start: int) -> Rule:
     active = r.node(EMPTY)
     b0 = r.node(EMPTY)
     r.ledge(central, active, DASHED)
-    r.ledge(central, b0, BLUE)
-    r.redge(central, b0, BLUE)
+    r.keep(central, b0, BLUE)
     r.redge(central, b0, DASHED)
-    return r.build()
-
-
-def _cinit(start: int, x: int) -> Rule:
-    r = _RB(f"CInit_{x}")
-    central = r.node(Label(start), root=True)
-    k0 = r.node(Label(x), Label(2, "red"), right_root=True)
-    r.ledge(central, k0, EMPTY)
-    r.redge(central, k0, EMPTY)
     return r.build()
 
 
@@ -332,8 +273,7 @@ def _erase(x: int) -> Rule:
     r = _RB(f"Erase_{x}")
     n = r.node(Label(2, "red"), Label(2), root=True, right_root=False)
     m_ = r.node(Label(x), Label(2, "red"), right_root=True)
-    r.ledge(n, m_, RED)
-    r.redge(n, m_, RED)
+    r.keep(n, m_, RED)
     return r.build()
 
 
@@ -353,26 +293,22 @@ def _binit(start: int) -> Rule:
     r = _RB("binit")
     central = r.node(Label(start), root=True)
     b0 = r.node(EMPTY, BLUE_ROOT, right_root=True)
-    r.ledge(central, b0, BLUE)
+    r.keep(central, b0, BLUE)
     j1 = r.new(Label(1, "blue"), root=True)
     j2 = r.new(Label(2, "blue"), root=True)
-    r.redge(central, b0, BLUE)
     r.redge(j1, j2, RED)
     r.redge(j2, j1, BLUE)
     return r.build()
 
 
 def _undirect() -> list[Rule]:
+    """Delete the root's dashed out-edge, to another node or a loop."""
     out = []
-    r = _RB("Undirect_split")
-    u = r.node(BLUE_ROOT, root=True)
-    v = r.node(EMPTY)
-    r.ledge(u, v, DASHED)
-    out.append(r.build())
-    r = _RB("Undirect_self")
-    u = r.node(BLUE_ROOT, root=True)
-    r.ledge(u, u, DASHED)
-    out.append(r.build())
+    for name in ("split", "self"):
+        r = _RB(f"Undirect_{name}")
+        u = r.node(BLUE_ROOT, root=True)
+        r.ledge(u, u if name == "self" else r.node(EMPTY), DASHED)
+        out.append(r.build())
     return out
 
 
@@ -382,8 +318,7 @@ def _copy() -> Rule:
     v = r.node(EMPTY, BLUE_ROOT, right_root=True)
     w1 = r.node(Label(1, "blue"), EMPTY, root=True, right_root=False)
     w2 = r.node(Label(2, "blue"), EMPTY, root=True, right_root=False)
-    r.ledge(u, v, RED)
-    r.redge(u, v, RED)
+    r.keep(u, v, RED)
     n1 = r.new(Label(1, "blue"), root=True)
     n2 = r.new(Label(2, "blue"), root=True)
     r.redge(n1, w1, RED)
@@ -399,8 +334,7 @@ def _glue() -> Rule:
     w1 = r.node(Label(1, "blue"), EMPTY, root=True, right_root=False)
     w2 = r.node(Label(2, "blue"), root=True)
     p = r.node(EMPTY, EMPTY, right_root=True)
-    r.ledge(w2, p, BLUE)
-    r.redge(w2, p, BLUE)
+    r.keep(w2, p, BLUE)
     r.redge(u, w1, RED)
     r.redge(w1, u, BLUE)
     r.redge(w2, w2, DASHED)
@@ -412,8 +346,7 @@ def _direct() -> Rule:
     m_ = r.node(EMPTY, EMPTY, root=True, right_root=False)
     l_ = r.node(EMPTY, EMPTY, right_root=True)
     f = r.node(Label(2, "blue"), root=True)
-    r.ledge(m_, l_, BLUE)
-    r.redge(m_, l_, BLUE)
+    r.keep(m_, l_, BLUE)
     r.redge(m_, f, DASHED)
     return r.build()
 
@@ -462,12 +395,15 @@ def gen_sim(m: TuringMachine) -> SimProgram:
                      for q in states for x in DIGITS for y in DIGITS],
         "HeadRight": [_head_step(f"HeadRight_{q}_{x}_{y}", q, x, y, EMPTY, RED)
                       for q in states for x in DIGITS for y in DIGITS],
-        "EncodeInit": [_encode_init(q) for q in states],
+        "EncodeInit": [_root_at(f"EncodeInit_{q}", q, BLUE, EMPTY, BLUE_ROOT)
+                       for q in states],
         "DecodeInit": [r for q in states for r in _decode_init(q)],
         "next_value": [_cursor_move("next_value", BLUE_ROOT, BLUE_ROOT, RED)],
         "prev_value": [_cursor_move("prev_value", BLUE_ROOT, BLUE_ROOT, BLUE)],
         "Update": [r for q in states for r in _update(q)],
-        "CacheInit": [_cache_init(q, x) for q in states for x in DIGITS],
+        "CacheInit": [_root_at(f"CacheInit_{q}_{x}", q, RED, Label(x),
+                               Label(x, "red"))
+                      for q in states for x in DIGITS],
         "Dec": [_relabel_root(f"Dec_{x}", Label(x, "red"), Label(x - 1, "red"))
                 for x in (1, 2)],
         "Inc": [_relabel_root(f"Inc_{x}", Label(x, "red"), Label(x + 1, "red"))
@@ -490,7 +426,8 @@ def gen_sim(m: TuringMachine) -> SimProgram:
         "rewind_blockset": [_rewind_blockset(q0)],
         "RewindCache": [_head_step(f"RewindCache_{x}_{y}", q0, x, y, EMPTY, BLUE)
                         for x in DIGITS for y in DIGITS],
-        "CInit": [_cinit(q0, x) for x in DIGITS],
+        "CInit": [_root_at(f"CInit_{x}", q0, EMPTY, Label(x), Label(2, "red"))
+                  for x in DIGITS],
         "Erase": [_erase(x) for x in DIGITS],
         "end": [_end(q0)],
         "binit": [_binit(q0)],

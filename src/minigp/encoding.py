@@ -11,9 +11,11 @@ node carries six out-edges: green "I" to the leftmost input node, green to
 the input head, blue to the leftmost block, dashed to the active block, red
 to the rightmost cache node, and an unmarked edge to the cache head.
 
-`enc` and `dec` share one layout function, `_schema(s, k)`: `enc` builds
-the graph from it, and `dec`, after extracting a configuration from the
-graph, checks the whole graph against the layout of that configuration.
+The layout is written once, in `layout(s, k)`, and four users share it:
+`enc` builds the graph from it; `dec`, after extracting a configuration
+from the graph, checks the whole graph against the layout of that
+configuration; and the compiler's `initial_graph` and `setup` rule are the
+level-0 layout of the initial configuration, split at the INPUT section.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def _chain(first: int, length: int) -> list[tuple[int, int, Label]]:
     return out
 
 
-def _schema(s: TMConfiguration, k: int) -> tuple[list[Label], list[tuple[int, int, Label]]]:
+def layout(s: TMConfiguration, k: int) -> tuple[list[Label], list[tuple[int, int, Label]]]:
     """The canonical enc_k layout of s: node labels in id order and
     (src, tgt, label) edge triples in edge-id order, all triples distinct.
     Node ids run central, INPUT left to right, BLOCKSET, CACHE."""
@@ -134,10 +136,10 @@ def _schema(s: TMConfiguration, k: int) -> tuple[list[Label], list[tuple[int, in
 
 
 def enc(s: TMConfiguration, k: int) -> Graph:
-    """Encode a configuration at level k as the graph of its `_schema`
-    layout: node ids run central, INPUT left to right, BLOCKSET, CACHE,
-    and edge ids follow the layout's fixed order."""
-    labels, edges = _schema(s, k)
+    """Encode a configuration at level k as the graph of its `layout`:
+    node ids run central, INPUT left to right, BLOCKSET, CACHE, and edge
+    ids follow the layout's fixed order."""
+    labels, edges = layout(s, k)
     g = Graph()
     for lab in labels:
         g.add_node(lab)
@@ -279,7 +281,7 @@ def dec(g: Graph) -> tuple[TMConfiguration, int]:
     s = TMConfiguration(state, "".join(str(x) for x in bits), input_head,
                         work, active * c + offset)
 
-    labels, edges = _schema(s, k)
+    labels, edges = layout(s, k)
     found = [g.nodes[v] for v in sections]
     if found != labels:
         i = next(i for i, lab in enumerate(found) if lab != labels[i])

@@ -16,10 +16,10 @@ from minigp.encoding import (
     EncodingParams,
     MalformedConfigGraph,
     OutOfRange,
-    _schema,
     content_digits,
     dec,
     enc,
+    layout,
 )
 from minigp.graphs import Label, graph_space, to_text
 from minigp.turing import TMConfiguration
@@ -185,7 +185,7 @@ class TestEnc:
         rng = random.Random(20261019)
         for _ in range(60):
             k = rng.randrange(3)
-            labels, edges = _schema(random_config(rng, k), k)
+            labels, edges = layout(random_config(rng, k), k)
             assert len(set(edges)) == len(edges)
 
 
