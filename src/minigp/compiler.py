@@ -232,14 +232,14 @@ def _update(q: int) -> list[Rule]:
         r = _RB(f"Update_{q}_{name}")
         central = r.node(Label(q), root=True)
 
-        def root() -> int:
+        def t_node() -> int:
             return r.node(BLUE_ROOT, EMPTY, root=True, right_root=False)
 
-        v = {"a": root() if t_is == "a" else r.node(EMPTY)}
+        v = {"a": t_node() if t_is == "a" else r.node(EMPTY)}
         if b_is == "b":
             v["b"] = r.node(EMPTY)
         if t_is == "t":
-            v["t"] = root()
+            v["t"] = t_node()
         r.keep(central, v["a"], DASHED)
         r.ledge(v["a"], v[b_is], DASHED)
         r.redge(v["a"], v[t_is], DASHED)
