@@ -21,7 +21,8 @@ from .errors import RunError
 from .harness import (Trace, lockstep_verify, metrics_lines, metrics_table,
                       run_sim)
 from .rules import rules_to_text
-from .turing import TMConfiguration, TuringMachine, parse_tm, tm_run
+from .turing import (TMConfiguration, TuringMachine, check_input, parse_tm,
+                     tm_run)
 
 REPAIR_NOTE = ("# The restart check sits inside the outer loop so a flagged"
                " pass retries\n# the whole simulation at the next capacity;"
@@ -102,10 +103,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_space(args: argparse.Namespace) -> int:
     m = _load(args.tm_file)
-    rows = []
-    for input in args.inputs.split(","):
-        rows.append((input, run_sim(m, input, args.max_steps,
-                                    mode=args.mode)[0]))
+    inputs = args.inputs.split(",")
+    for input in inputs:
+        check_input(input)
+    rows = [(input, run_sim(m, input, args.max_steps, mode=args.mode)[0])
+            for input in inputs]
     print(metrics_table(rows), end="")
     return 0
 

@@ -3,8 +3,9 @@
 `lockstep_verify` replays a machine against its compiled simulator one
 simulated transition at a time, decoding the host graph after every
 completed step.  `run_sim` runs the simulator to completion and collects
-size and time counters.  Both compile the machine and run its program once
-on one host graph through `_simulator`.
+size and time counters.  Both run a machine's program once on one host
+graph through `_simulator`, which compiles the machine on its first run and
+keeps the program on it for every later run.
 """
 
 from __future__ import annotations
@@ -103,11 +104,15 @@ def _simulator(m: TuringMachine, input: str, mode: str,
                on_step: Callable[[Graph, ExecStats], None],
                on_restart: Callable[[Graph], None]
                ) -> tuple[Interp, Program, Graph]:
-    """Compile m; return an interpreter, the simulator program and the
-    initial host graph for input.  The interpreter calls on_step after each
-    simulated step, and counts a restart then calls on_restart after each
-    pass of the outer loop."""
-    sim = gen_sim(m)
+    """Return an interpreter, m's simulator program and the initial host
+    graph for input.  The first run of m compiles it and stores the program,
+    with its rule sets' memos, on m; later runs of the same object reuse it.
+    The interpreter calls on_step after each simulated step, and counts a
+    restart then calls on_restart after each pass of the outer loop."""
+    sim = vars(m).get("_sim")
+    if sim is None:
+        sim = gen_sim(m)
+        object.__setattr__(m, "_sim", sim)
 
     def hook(loop: Loop, g: Graph, stats: ExecStats) -> None:
         if loop is sim.simulate_loop:

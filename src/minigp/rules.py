@@ -158,24 +158,24 @@ def apply(G: Graph, r: Rule, match: Match) -> Graph:
     plan, by deleting every matched edge and replaying the script; rewrites
     G in place and returns it.  Preserved items keep their ids; new nodes
     and all right-side edges get fresh ids in ascending rule-id order."""
-    s = r.script
-    if s.nodes and not dangling_ok(match, r, G):
+    nodes, relabel, kept, add, wire, roots, unroot = r.script
+    if nodes and not dangling_ok(match, r, G):
         raise DanglingViolation(f"rule {r.name} at {match}")
     nimg, eimg = match
     for f in eimg:
         G.remove_edge(f)
-    for i in s.nodes:
+    for i in nodes:
         G.remove_node(nimg[i])
-    for i, lab in s.relabel:
+    for i, lab in relabel:
         G.relabel_node(nimg[i], lab)
-    if s.add or s.wire or s.roots:
-        img = [nimg[i] for i in s.kept]
-        img += [G.add_node(lab) for lab in s.add]
-        for a, b, lab in s.wire:
+    if add or wire or roots:
+        img = [nimg[i] for i in kept]
+        img += [G.add_node(lab) for lab in add]
+        for a, b, lab in wire:
             G.add_edge(img[a], img[b], lab)
-        for i in s.roots:
+        for i in roots:
             G.roots.add(img[i])
-    for i in s.unroot:
+    for i in unroot:
         G.roots.discard(nimg[i])
     return G
 

@@ -36,6 +36,9 @@ class BudgetExceeded(RunError):
 
 @dataclass(frozen=True)
 class TuringMachine:
+    """The first run of a machine stores its compiled simulator program on
+    it, so a machine must not change after its first run."""
+
     start: int
     accept: int
     delta: dict[tuple[int, int, int], tuple[int, int, Move, Move]]

@@ -16,6 +16,13 @@ from minigp.turing import tm_run
 from util import fixture_machine, from_text, unary
 
 FIXTURES = str(Path(__file__).resolve().parent.parent / "fixtures")
+SPACE_FILLER = """\
+input,rule_calls,tm_steps,restarts,peak_graph_space,tape_squares_used,\
+final_c,final_b,uniform_space,log_space,peak_nodes
+0,7131,43,1,121,43,3,27,121,160,32
+10,37908,86,2,343,86,4,81,343,616,88
+110,51209,129,2,346,129,4,81,346,623,89
+"""
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +161,34 @@ class TestBenchAndSpace:
         assert lines[0].startswith("input,rule_calls,")
         assert len(lines) == 3
         assert lines[1].startswith("0,") and lines[2].startswith("10,")
+
+    @staticmethod
+    def count_compiles(monkeypatch) -> list:
+        compiled = []
+        gen_sim = harness.gen_sim
+
+        def counting(m):
+            compiled.append(m)
+            return gen_sim(m)
+
+        monkeypatch.setattr(harness, "gen_sim", counting)
+        return compiled
+
+    def test_space_compiles_once(self, capsys, monkeypatch):
+        compiled = self.count_compiles(monkeypatch)
+        code, out, _ = run_cli(capsys, "space", f"{FIXTURES}/filler.tm",
+                               "--inputs", "0,10,110")
+        assert code == 0
+        assert len(compiled) == 1
+        assert out == SPACE_FILLER
+
+    def test_space_checks_every_input_first(self, capsys, monkeypatch):
+        compiled = self.count_compiles(monkeypatch)
+        code, out, err = run_cli(capsys, "space", f"{FIXTURES}/filler.tm",
+                                 "--inputs", "10,12")
+        assert code == 2
+        assert "'12'" in err and out == ""
+        assert compiled == []
 
 
 def undecodable(g):

@@ -1,11 +1,12 @@
 """Harness checks: lockstep verification against the reference machine,
 run metrics and their invariants, mode agreement, benchmark hosts,
-fixture machines, the on-disk machine files, and the package's error
-hierarchy."""
+fixture machines, the on-disk machine files, the package's error
+hierarchy, and the reuse of a machine's compiled program across runs."""
 
 from __future__ import annotations
 
 import ast
+import gc
 import importlib
 import io
 import math
@@ -13,14 +14,16 @@ import platform
 import re
 import sys
 import tokenize
+import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from random import Random
+from typing import Callable
 
 import pytest
 
-from minigp import harness, lang, rules
+from minigp import graphs, harness, lang, rules
 from minigp.errors import InputError, RunError
 from minigp.graphs import Graph, graph_space
 from minigp.harness import (
@@ -34,6 +37,7 @@ from minigp.lang import Fail, Interp
 from minigp.machines import counter_machine, filler_machine
 from minigp.rules import RuleSet
 from minigp.turing import (
+    BudgetExceeded,
     TuringMachine,
     initial_configuration,
     tm_run,
@@ -244,16 +248,72 @@ class TestPatchedNames:
         assert calls["copy"] == (mx.restarts + 1 if mode == "semantic" else 0)
 
 
+class TestCompileOnce:
+    """The first run of a machine compiles it and keeps the program on the
+    machine object; later runs of that object reuse the program, its rule
+    sets' memos and its rules' cached plans and scripts."""
+
+    @staticmethod
+    def runs(machine: Callable[[], TuringMachine], input: str) -> list:
+        """An aborted lockstep run, a run over its rule-call budget, a full
+        run in each mode and a full lockstep run, in this order, each on
+        the machine that machine() returns."""
+        out: list = [lockstep_verify(machine(), input, max_steps=10)]
+        with pytest.raises(BudgetExceeded) as exc:
+            run_sim(machine(), input, max_rule_calls=20)
+        out.append(str(exc.value))
+        for mode in ("semantic", "efficient"):
+            mx, final, g = run_sim(machine(), input, mode=mode)
+            out.append((mx, final, graphs.to_text(g)))
+        out.append(lockstep_verify(machine(), input))
+        return out
+
+    @pytest.mark.parametrize("make, input", [(filler_machine, unary(4)),
+                                             (counter_machine,
+                                              counter_input(8))])
+    def test_reuse_changes_nothing(self, make, input):
+        m = make()
+        reused = self.runs(lambda: m, input)
+        assert reused == self.runs(make, input)
+        assert reused[0].steps_checked == 10 and reused[-1].ok
+
+    def test_compiles_once_per_machine_object(self, monkeypatch):
+        compiled = []
+        gen_sim = harness.gen_sim
+
+        def counting(m):
+            sim = gen_sim(m)
+            compiled.append(weakref.ref(sim))
+            return sim
+
+        monkeypatch.setattr(harness, "gen_sim", counting)
+        m = counter_machine()
+        run_sim(m, counter_input(3))
+        run_sim(m, counter_input(4), mode="semantic")
+        assert lockstep_verify(m, counter_input(3)).ok
+        assert len(compiled) == 1
+        twin = counter_machine()
+        assert twin == m and repr(twin) == repr(m)
+        assert [f.name for f in fields(m)] == ["start", "accept", "delta"]
+        run_sim(twin, counter_input(3))
+        assert len(compiled) == 2
+        assert compiled[0]() is not None
+        del m
+        gc.collect()
+        assert compiled[0]() is None
+        assert compiled[1]() is not None
+
+
 class TestCallBudget:
-    """Python-level calls per rule call on filler unary(2), counted with a
-    profile hook around `Interp.run`.  Each budget sits 0.5 or less above
-    the count measured with CPython 3.11.7: 12.63 in efficient mode and
-    13.48 in semantic mode.  Counts from other Python versions are not
-    comparable."""
+    """Python-level calls per rule call, counted with a profile hook.  Each
+    budget sits 0.5 or less above the count measured with CPython 3.11.7.
+    Counts from other Python versions are not comparable."""
 
     @pytest.mark.parametrize("mode, budget", [("efficient", 13.1),
                                               ("semantic", 13.9)])
     def test_python_calls_per_rule_call(self, monkeypatch, mode, budget):
+        """Around `Interp.run` on filler unary(2): 12.63 calls in efficient
+        mode and 13.48 in semantic mode."""
         calls = 0
 
         def hook(frame, event, arg):
@@ -276,6 +336,34 @@ class TestCallBudget:
         assert per_call <= budget, (
             f"{per_call:.2f} Python calls per rule call in {mode} mode, "
             f"budget {budget}, Python {platform.python_version()}")
+
+    def test_warm_run_costs_fewer_calls(self):
+        """Over the whole semantic `run_sim` of filler unary(4): 14.11 calls
+        on a fresh machine, which compiles, and 12.11 on a second run of the
+        same machine, which reuses the program."""
+        def per_call(m: TuringMachine) -> float:
+            calls = 0
+
+            def hook(frame, event, arg):
+                nonlocal calls
+                if event == "call":
+                    calls += 1
+
+            previous = sys.getprofile()
+            sys.setprofile(hook)
+            try:
+                mx = run_sim(m, unary(4), mode="semantic")[0]
+            finally:
+                sys.setprofile(previous)
+            return calls / mx.rule_calls
+
+        m = filler_machine()
+        cold = per_call(m)
+        warm = per_call(m)
+        assert warm < cold
+        assert warm <= 12.6, (
+            f"{warm:.2f} Python calls per rule call on a warm run, budget "
+            f"12.6, Python {platform.python_version()}")
 
 
 class TestBench:
