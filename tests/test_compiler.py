@@ -1,5 +1,7 @@
 """Compiled simulators: generated rules, contracts, and whole-machine runs."""
 
+from functools import partial
+
 import pytest
 
 from minigp.compiler import (
@@ -15,7 +17,7 @@ from minigp.compiler import (
 )
 from minigp.encoding import MalformedConfigGraph, dec, enc
 from minigp.errors import InputError
-from minigp.graphs import Graph, Label
+from minigp.graphs import Graph, Label, to_text
 from minigp.lang import Done, If, Interp, Loop, Seq, Try, parse_program
 from minigp.machines import counter_machine, filler_machine
 from minigp.matching import edge_enumerations
@@ -26,8 +28,8 @@ from minigp.turing import (
     initial_configuration,
     tm_run,
 )
-from util import (FIXTURES, check_boundedness, counter_input, fixture_machine,
-                  run_program, unary)
+from util import (FIXTURES, StepInterp, check_boundedness, counter_input,
+                  fixture_machine, run_program, unary)
 
 EMPTY_M = TuringMachine(0, 0, {})
 ONES = TuringMachine(0, 1, {
@@ -341,10 +343,29 @@ def critical_sites(coms, found):
     return list(found.values())
 
 
+# (kind, snapshot) of each critical site of a generated program, in the
+# order critical_sites finds them; every machine gives the same list.
+SITE_SNAPSHOTS = [
+    ("Loop", True), ("Loop", True), ("Try", False), ("Try", False),
+    ("Try", False), ("Loop", False), ("Loop", True), ("Try", False),
+    ("Try", False), ("If", False), ("Loop", False), ("Try", False),
+    ("Try", False), ("Try", False), ("Loop", False), ("Loop", True),
+    ("Try", False), ("Loop", True), ("Try", False), ("Try", False),
+    ("If", False), ("Loop", False), ("Try", False), ("Try", False),
+    ("Loop", False), ("Try", False), ("Try", False), ("Try", False),
+    ("Loop", False), ("Loop", False), ("Try", False), ("Loop", False),
+    ("Try", False), ("Loop", False),
+]
+
+
 class TestBacktracking:
     """Where semantic mode snapshots the host in the generated program."""
 
-    @pytest.mark.parametrize("make", [filler_machine, counter_machine])
+    # The two machines equal fixtures/filler.tm and fixtures/count.tm, so
+    # these are the five fixture machines.
+    @pytest.mark.parametrize("make", [filler_machine, counter_machine] + [
+        pytest.param(partial(fixture_machine, n), id=n)
+        for n in ("empty", "ones", "stamp")])
     def test_five_of_34_critical_sites_need_a_snapshot(self, make):
         sim = gen_sim(make())
         procs = sim.program.procedures
@@ -357,7 +378,8 @@ class TestBacktracking:
             return isinstance(body, Seq) and body.parts is coms
 
         sites = critical_sites(sim.program.main, {})
-        assert len(sites) == 34
+        assert [(type(s).__name__, s.needs_snapshot) for s in sites] \
+            == SITE_SNAPSHOTS
         need = [s for s in sites if s.needs_snapshot]
         assert all(isinstance(s, Loop) for s in need)
         assert need[0] is sim.outer_loop
@@ -440,3 +462,37 @@ class TestBacktracking:
         interp = Interp(mode="efficient")
         cfg = interp.run(program, host)
         assert isinstance(cfg, Done)
+
+
+def observe(interp_class, program, m, inp, mode):
+    """Final graph text, counters (all but snapshots) and loop_hook stream
+    of one run of program from the initial graph of inp."""
+    hooks = []
+    interp = interp_class(mode=mode, loop_hook=lambda loop, G, st: hooks.append(
+        (id(loop), st.rule_calls, st.mutations)))
+    cfg = interp.run(program, initial_graph(inp, m.start))
+    assert isinstance(cfg, Done)
+    counters = {k: v for k, v in vars(interp.stats).items() if k != "snapshots"}
+    return to_text(cfg.graph), counters, hooks
+
+
+@pytest.mark.parametrize("name, inp, mode", [
+    ("stamp", unary(2), "semantic"),
+    ("stamp", unary(2), "efficient"),
+    ("count", counter_input(3), "semantic"),
+    ("count", counter_input(3), "efficient"),
+    ("filler", unary(1), "semantic"),
+    ("filler", unary(1), "efficient"),
+    ("filler", unary(4), "efficient"),
+])
+def test_generated_program_follows_the_step_relation(name, inp, mode):
+    """Interp runs the generated program as the small-step relation does.
+    StepInterp saves the host at every condition and loop body in semantic
+    mode and checks every discarded run in efficient mode, whatever the
+    site's snapshot choice, so this checks those choices, the journal and
+    the closures on the real program."""
+    m = fixture_machine(name)
+    program = gen_sim(m).program
+    got = observe(Interp, program, m, inp, mode)
+    assert got == observe(StepInterp, program, m, inp, mode)
+    assert got[1]["rule_calls"] > 0 and got[2]
