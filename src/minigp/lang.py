@@ -7,10 +7,11 @@ distinct command becomes one closure from the host graph to a status, with
 the mode and each site's choices read then; the run calls the entry
 command's closure, which rewrites the one host graph in place.  Conditions
 and loop bodies are critical subprograms, whose result a construct may
-discard.  Every command carries effect flags, computed bottom-up when it
-is built, that say whether a discarded run of it could have changed the
-host.  Semantic mode saves the host only before such a run, with
-`Graph.mark`, and rolls back to the mark when the result is discarded;
+discard.  The pass that builds the closures also derives each command's
+effects from its parts, and from them whether a discarded run at each
+critical site could have changed the host.  Semantic mode saves the host
+only before such a run, with `Graph.mark`, and rolls back to the mark
+when the result is discarded;
 the graph copies itself at the outermost open save and journals the
 saves nested in it, so only the outermost save costs a copy.  Efficient
 mode saves nothing and, at those same sites, insists a save would have
@@ -50,23 +51,7 @@ class NullFailureViolation(RunError):
 
 
 class Com:
-    """Base class for commands; instances compare by identity.
-
-    Each command carries three effect flags, set from its parts when it is
-    built: a run of it may end in failure (`may_fail`), may leave the host
-    changed (`may_mutate`), and may fail after changing the host
-    (`may_fail_after_mutating`).  A run of a command without the last flag
-    leaves the host as it found it when it fails; one without `may_mutate`
-    always does.  The conditions and loop bodies a construct may discard
-    are critical; the construct's `needs_snapshot` says whether a discarded
-    run of it could have changed the host."""
-
-    may_fail = may_mutate = may_fail_after_mutating = False
-
-    def _flags(self, fail: bool, mutate: bool, fail_after_mutating: bool) -> None:
-        object.__setattr__(self, "may_fail", fail)
-        object.__setattr__(self, "may_mutate", mutate)
-        object.__setattr__(self, "may_fail_after_mutating", fail_after_mutating)
+    """Base class for commands; instances compare by identity."""
 
 
 @dataclass(eq=False, frozen=True)
@@ -74,24 +59,10 @@ class RuleCall(Com):
     names: tuple[str, ...]
     rules: RuleSet = field(repr=False)
 
-    def __post_init__(self) -> None:
-        # A failed call changes nothing; a rule with an empty left side
-        # always applies.
-        rules = self.rules.rules
-        self._flags(all(r.left.nodes for r in rules),
-                    not all(r.is_static_noop for r in rules), False)
-
 
 @dataclass(eq=False, frozen=True)
 class Seq(Com):
     parts: tuple[Com, ...]
-
-    def __post_init__(self) -> None:
-        mutate = fail_after = False
-        for p in self.parts:
-            fail_after = fail_after or p.may_fail_after_mutating or (mutate and p.may_fail)
-            mutate = mutate or p.may_mutate
-        self._flags(any(p.may_fail for p in self.parts), mutate, fail_after)
 
 
 @dataclass(eq=False, frozen=True)
@@ -101,13 +72,6 @@ class If(Com):
     cond: Com
     then: Com
     els: Com
-    needs_snapshot: bool = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        t, e = self.then, self.els
-        self._flags(t.may_fail or e.may_fail, t.may_mutate or e.may_mutate,
-                    t.may_fail_after_mutating or e.may_fail_after_mutating)
-        object.__setattr__(self, "needs_snapshot", self.cond.may_mutate)
 
 
 @dataclass(eq=False, frozen=True)
@@ -117,15 +81,6 @@ class Try(Com):
     cond: Com
     then: Com
     els: Com
-    needs_snapshot: bool = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        c, t, e = self.cond, self.then, self.els
-        self._flags(t.may_fail or e.may_fail,
-                    c.may_mutate or t.may_mutate or e.may_mutate,
-                    t.may_fail_after_mutating or e.may_fail_after_mutating
-                    or (c.may_mutate and t.may_fail))
-        object.__setattr__(self, "needs_snapshot", c.may_fail_after_mutating)
 
 
 @dataclass(eq=False, frozen=True)
@@ -133,11 +88,6 @@ class Loop(Com):
     """Runs its body until the body fails (discarded) or breaks."""
 
     body: Com
-    needs_snapshot: bool = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._flags(False, self.body.may_mutate, False)
-        object.__setattr__(self, "needs_snapshot", self.body.may_fail_after_mutating)
 
 
 @dataclass(eq=False, frozen=True)
@@ -168,6 +118,11 @@ _OK, _FAIL, _BREAK = "ok", "fail", "break"
 
 # A command built into a closure: runs on the host, returns its status.
 Runner = Callable[[Graph], str]
+
+# What a run of a command may do: (fail, change the host, fail after
+# changing the host).  A command without the last effect leaves the host as
+# it found it when it fails; one without the second always does.
+Effects = tuple[bool, bool, bool]
 
 
 @dataclass
@@ -385,11 +340,13 @@ class Interp:
 
     Each distinct command (by identity, so a procedure body inlined at
     several call sites is built once) becomes one function from the host to
-    its status; the mode, each site's `needs_snapshot`, the rule-call budget
-    and both hooks are read when it is built.  Both modes rewrite the one
-    host graph in place and differ only at critical sites whose
-    `needs_snapshot` is set (`_critical`); there semantic mode saves the
-    host with `Graph.mark`, which copies or journals it.
+    its status, and its `Effects` are derived from those of its parts; the
+    mode, the rule-call budget and both hooks are read when it is built.  A
+    loop saves the host when its body may fail after mutating, an if when
+    its condition may mutate, a try when its condition may fail after
+    mutating.  Both modes rewrite the one host graph in place and differ
+    only at the sites that save (`_critical`); there semantic mode saves
+    the host with `Graph.mark`, which copies or journals it.
     `loop_hook(loop, graph, stats)` fires after each completed
     (non-breaking, non-failing) iteration, `apply_hook(rule_name, graph)`
     after each applied rule.
@@ -418,24 +375,38 @@ class Interp:
         carries g0 itself."""
         coms = program.main if isinstance(program, Program) else (program,)
         self._note(g0)
-        status = self._build(Seq(coms), {})(g0)
+        status = self._build(Seq(coms), {})[0](g0)
         if status is _BREAK:
             raise RunError("break escaped the program")
         return Done(g0) if status is _OK else Fail()
 
-    def _build(self, com: Com, built: dict[Com, Runner]) -> Runner:
-        """The closure that runs com on a host and returns its status,
-        built once per command and kept in built."""
-        f = built.get(com)
-        if f is None:
-            f = built[com] = self._compile(com, built)
-        return f
+    def _build(self, com: Com, built: dict[Com, tuple[Runner, Effects]]
+               ) -> tuple[Runner, Effects]:
+        """The closure that runs com on a host and returns its status, with
+        com's effects; built once per command and kept in built."""
+        got = built.get(com)
+        if got is None:
+            got = built[com] = self._compile(com, built)
+        return got
 
-    def _compile(self, com: Com, built: dict[Com, Runner]) -> Runner:
+    def _compile(self, com: Com, built: dict[Com, tuple[Runner, Effects]]
+                 ) -> tuple[Runner, Effects]:
         if isinstance(com, RuleCall):
-            return self._rule_call(com)
+            # A failed call changes nothing; a rule with an empty left side
+            # always applies.
+            rules = com.rules.rules
+            return self._rule_call(com), (
+                all(r.left.nodes for r in rules),
+                not all(r.is_static_noop for r in rules), False)
         if isinstance(com, Seq):
-            parts = tuple(self._build(p, built) for p in com.parts)
+            runs: list[Runner] = []
+            fail = mutate = fail_after = False
+            for p in com.parts:
+                run, (p_fail, p_mutate, p_fail_after) = self._build(p, built)
+                runs.append(run)
+                fail_after = fail_after or p_fail_after or (mutate and p_fail)
+                fail, mutate = fail or p_fail, mutate or p_mutate
+            parts = tuple(runs)
 
             def seq(G: Graph) -> str:
                 for part in parts:
@@ -443,11 +414,10 @@ class Interp:
                     if status is not _OK:
                         return status
                 return _OK
-            return seq
+            return seq, (fail, mutate, fail_after)
         if isinstance(com, Loop):
-            body = self._critical(self._build(com.body, built), True,
-                                  com.needs_snapshot,
-                                  "failing loop body mutated the graph")
+            run, (_, mutate, fail_after) = self._build(com.body, built)
+            body = self._critical(com, run, fail_after)
             hook, stats = self.loop_hook, self.stats
 
             def loop(G: Graph) -> str:
@@ -455,12 +425,14 @@ class Interp:
                     if hook is not None:
                         hook(com, G, stats)
                 return _OK
-            return loop
+            return loop, (False, mutate, False)
         if isinstance(com, (If, Try)):
-            cond = self._critical(self._build(com.cond, built),
-                                  isinstance(com, Try), com.needs_snapshot,
-                                  "failing condition mutated the graph")
-            then, els = self._build(com.then, built), self._build(com.els, built)
+            is_try = isinstance(com, Try)
+            run, (_, c_mutate, c_fail_after) = self._build(com.cond, built)
+            cond = self._critical(com, run, c_fail_after if is_try else c_mutate)
+            then, (t_fail, t_mutate, t_fail_after) = self._build(com.then, built)
+            els, (e_fail, e_mutate, e_fail_after) = self._build(com.els, built)
+            kept = is_try and c_mutate  # a try keeps its condition's success
 
             def branch(G: Graph) -> str:
                 status = cond(G)
@@ -469,24 +441,26 @@ class Interp:
                 if status is _BREAK:
                     raise RunError("break escaped a condition")
                 return els(G)
-            return branch
+            return branch, (t_fail or e_fail, kept or t_mutate or e_mutate,
+                            t_fail_after or e_fail_after or (kept and t_fail))
         if isinstance(com, Break):
-            return lambda G: _BREAK
+            return (lambda G: _BREAK), (False, False, False)
         raise TypeError(f"cannot run {com!r}")
 
-    def _critical(self, run: Runner, keep: bool, snapshot: bool,
-                  failed: str) -> Runner:
-        """Wrap run, a condition or loop body.  The host keeps the run's
-        changes after a break, or after success if keep; otherwise the run
-        is discarded.  Unless snapshot, the site's `needs_snapshot`, is set,
-        the effect flags prove that a discarded run left the host unchanged,
-        and run is returned bare in both modes.  Otherwise semantic mode
-        marks the host before the run, rolls back to the mark to discard
-        it, and releases the mark.  In efficient mode a discarded run that
-        mutated raises failed (after a failure) or the if-condition message
-        (after a success)."""
+    def _critical(self, site: Com, run: Runner, snapshot: bool) -> Runner:
+        """Wrap run, the condition of site (an If or Try) or its body (a
+        Loop).  The host keeps the run's changes after a break, or after
+        success at a Try or Loop; otherwise the run is discarded.  Unless
+        snapshot is set, the effects prove that a discarded run left the
+        host unchanged, and run is returned bare in both modes.  Otherwise
+        semantic mode marks the host before the run, rolls back to the mark
+        to discard it, and releases the mark.  In efficient mode a
+        discarded run that mutated raises NullFailureViolation."""
         if not snapshot:
             return run
+        keep = not isinstance(site, If)
+        failed = ("failing loop body mutated the graph" if isinstance(site, Loop)
+                  else "failing condition mutated the graph")
         stats = self.stats
         if self.mode == "semantic":
             def restoring(G: Graph) -> str:

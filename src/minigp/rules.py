@@ -14,12 +14,9 @@ numbers, so applying a rule looks nothing up by left-side id.
 Compilation is lazy because a generated library holds thousands of
 rules, many of which a run never tries: compiling all 2,656 rules of the
 filler machine up front takes nearly as long as generating them.  Plans
-are built for the rules a run tries and scripts for the rules that
-match, except that building a rule call compiles the rules without left
-edges that its effect flags ask about: only the script tells whether
-such a rule is a static no-op (12 rules of a generated library).  Equal
-compiled pieces are shared between rules, so the compiled form stays
-small.  `RuleSet.candidates` keeps only the rules whose left-root labels
+are built for the rules a run tries, and scripts for the rules that
+match or whose no-op test a run's build pass reads.  Equal compiled
+pieces are shared between rules, so the compiled form stays small.  `RuleSet.candidates` keeps only the rules whose left-root labels
 all occur among the host's root labels, memoized under that set and,
 from the first miss on, grouped by their left-root labels.
 `apply_ruleset` calls `dangling_ok` only for node-deleting rules.

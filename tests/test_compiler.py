@@ -28,8 +28,8 @@ from minigp.turing import (
     initial_configuration,
     tm_run,
 )
-from util import (FIXTURES, StepInterp, check_boundedness, counter_input,
-                  fixture_machine, run_program, unary)
+from util import (FIXTURES, StepInterp, analysis, check_boundedness,
+                  counter_input, fixture_machine, run_program, unary)
 
 EMPTY_M = TuringMachine(0, 0, {})
 ONES = TuringMachine(0, 1, {
@@ -378,9 +378,10 @@ class TestBacktracking:
             return isinstance(body, Seq) and body.parts is coms
 
         sites = critical_sites(sim.program.main, {})
-        assert [(type(s).__name__, s.needs_snapshot) for s in sites] \
+        _, snapshot = analysis(Seq(sim.program.main))
+        assert [(type(s).__name__, snapshot[s]) for s in sites] \
             == SITE_SNAPSHOTS
-        need = [s for s in sites if s.needs_snapshot]
+        need = [s for s in sites if snapshot[s]]
         assert all(isinstance(s, Loop) for s in need)
         assert need[0] is sim.outer_loop
         assert [next(n for n in procs if runs(n, s.body)) for s in need[1:]] \

@@ -30,7 +30,8 @@ from minigp.lang import (
     parse_program,
 )
 from minigp.rules import Rule
-from util import Running, StepInterp, is_terminal, restore, run_program
+from util import (Running, StepInterp, analysis, is_terminal, restore,
+                  run_program)
 
 
 def node_rule(name, before, after, extra=0):
@@ -414,12 +415,18 @@ def command(text):
 
 
 def flags(com):
-    return com.may_fail, com.may_mutate, com.may_fail_after_mutating
+    """com's effects: (may_fail, may_mutate, may_fail_after_mutating)."""
+    return analysis(com)[0][com]
+
+
+def saves(site):
+    """Whether the critical site (an If, Try or Loop) saves the host."""
+    return analysis(site)[1][site]
 
 
 class TestEffects:
-    """The effect flags, one test per command kind, and the snapshot
-    choice of each kind of critical site."""
+    """The effects the build pass derives, one test per command kind, and
+    the snapshot choice of each kind of critical site."""
 
     def test_rule_call(self):
         assert flags(command("grow")) == (True, True, False)
@@ -434,38 +441,38 @@ class TestEffects:
         dirty, clean = command("(grow; never)!"), command("(never; grow)!")
         assert flags(dirty.body) == (True, True, True)
         assert flags(clean.body) == (True, True, False)
-        assert dirty.needs_snapshot
-        assert not clean.needs_snapshot
-        assert command("((grow; never)!; a)!").needs_snapshot
+        assert saves(dirty)
+        assert not saves(clean)
+        assert saves(command("((grow; never)!; a)!"))
 
     def test_loop_never_fails(self):
         loop = command("(grow; never)!")
         assert flags(loop) == (False, True, False)
-        assert not command("(a; (grow; never)!)!").needs_snapshot
+        assert not saves(command("(a; (grow; never)!)!"))
 
     def test_if_condition_snapshots_only_if_it_may_mutate(self):
         clean, dirty = command("if probe then a"), command("if grow then a")
-        assert not clean.needs_snapshot
-        assert dirty.needs_snapshot
+        assert not saves(clean)
+        assert saves(dirty)
         assert flags(clean) == flags(dirty) == (True, True, False)
         assert flags(command("if grow then probe")) == (True, False, False)
         assert flags(command("if probe then probe else grow")) == \
             (True, True, False)
-        assert command("((if probe then probe else grow); never)!").needs_snapshot
+        assert saves(command("((if probe then probe else grow); never)!"))
 
     def test_try_condition_and_then_branch(self):
         loop = command("(try grow then never)!")
         assert flags(loop.body) == (True, True, True)
-        assert loop.needs_snapshot
-        assert not loop.body.needs_snapshot
-        assert command("try (grow; never) then a").needs_snapshot
+        assert saves(loop)
+        assert not saves(loop.body)
+        assert saves(command("try (grow; never) then a"))
         assert flags(command("try never then probe else grow")) == \
             (True, True, False)
         assert flags(command("try grow then {probe, skip}")) == \
             (False, True, False)
         for text in ("(try grow)!", "(try probe then never)!",
                      "(try never then grow)!"):
-            assert not command(text).needs_snapshot, text
+            assert not saves(command(text)), text
 
     @pytest.mark.parametrize("text, snapshots", [
         ("(grow; never)!", 1),
@@ -489,10 +496,15 @@ class TestEffects:
     @pytest.mark.parametrize("mode", ["semantic", "efficient"])
     @pytest.mark.parametrize("keep", [False, True])
     def test_snapshot_free_site_runs_bare(self, mode, keep):
+        """An if discards its condition's successful run; a try and a loop
+        keep it."""
         def run(G):
             return _OK
+        sites = ([command("try a"), command("a!")] if keep
+                 else [command("if a then b")])
         interp = Interp(mode=mode)
-        assert interp._critical(run, keep, False, "unused") is run
+        for site in sites:
+            assert interp._critical(site, run, False) is run
 
 
 class TestBreakEscape:
@@ -613,8 +625,8 @@ def test_run_agrees_with_step_on_random_programs():
 
 
 class SiteCheck(Interp):
-    """Interp that checks each critical run against its site's
-    needs_snapshot: a discarded run without a snapshot must leave the host
+    """Interp that checks each critical run against its site's snapshot
+    choice: a discarded run without a snapshot must leave the host
     as it found it (both modes), and NullFailureViolation must come from a
     site that needs one (efficient mode).  Loop iterations are budgeted
     as in observe."""
@@ -630,8 +642,9 @@ class SiteCheck(Interp):
         if self.iterations > MAX_ITERATIONS:
             raise BudgetExceeded("loop-iteration budget exhausted")
 
-    def _critical(self, run, keep, snapshot, failed):
-        inner = super()._critical(run, keep, snapshot, failed)
+    def _critical(self, site, run, snapshot):
+        inner = super()._critical(site, run, snapshot)
+        keep = not isinstance(site, If)
 
         def checked(G):
             before = (to_text(G), G.next_node_id, G.next_edge_id)
@@ -678,10 +691,10 @@ class CopyEverySave(Interp):
     """Semantic mode with a copy at every save, as before the journal:
     the reference that journalled semantic mode must agree with."""
 
-    def _critical(self, run, keep, snapshot, failed):
+    def _critical(self, site, run, snapshot):
         if not snapshot:
             return run
-        stats = self.stats
+        stats, keep = self.stats, not isinstance(site, If)
 
         def restoring(G):
             stats.snapshots += 1
@@ -693,17 +706,18 @@ class CopyEverySave(Interp):
         return restoring
 
 
-def nested_saves(com, inside=False):
-    """Whether com holds a site that needs a snapshot inside another."""
+def nested_saves(com, snapshot, inside=False):
+    """Whether com holds a site that saves the host inside another;
+    snapshot maps each site to its choice."""
     sites = []
     if isinstance(com, Loop):
-        sites = [(com.body, com.needs_snapshot)]
+        sites = [(com.body, snapshot[com])]
     elif isinstance(com, (If, Try)):
-        sites = [(com.cond, com.needs_snapshot), (com.then, False),
+        sites = [(com.cond, snapshot[com]), (com.then, False),
                  (com.els, False)]
     elif isinstance(com, Seq):
         sites = [(p, False) for p in com.parts]
-    return any((inside and save) or nested_saves(sub, inside or save)
+    return any((inside and save) or nested_saves(sub, snapshot, inside or save)
                for sub, save in sites)
 
 
@@ -740,7 +754,7 @@ def test_journal_agrees_with_copying_every_save(monkeypatch):
     checked = journalled = 0
     while checked < 150:
         (com,) = parse("Main = " + random_command(rng, rng.randint(2, 5), False)).main
-        if not nested_saves(com):
+        if not nested_saves(com, analysis(com)[1]):
             continue
         checked += 1
         g = random_host(rng)

@@ -645,6 +645,28 @@ def run_program(program, g0, *, mode="semantic", max_rule_calls=None,
     return cfg, interp.stats
 
 
+class _Analysis(Interp):
+    """Interp that records the snapshot choice of every critical site."""
+
+    def __init__(self):
+        super().__init__(mode="efficient")
+        self.snapshot = {}
+
+    def _critical(self, site, run, snapshot):
+        self.snapshot[site] = snapshot
+        return super()._critical(site, run, snapshot)
+
+
+def analysis(com):
+    """What Interp's build pass derives for com and the commands in it: a
+    map of each to its effects (may_fail, may_mutate,
+    may_fail_after_mutating), and a map of each critical site (If, Try or
+    Loop) to whether it saves the host."""
+    a, built = _Analysis(), {}
+    a._build(com, built)
+    return {c: effects for c, (_, effects) in built.items()}, a.snapshot
+
+
 def restore(g, saved):
     """Make g become saved, a copy of it taken earlier, in O(1) by adopting
     its dicts, roots and id counters; saved must not be used afterwards."""
