@@ -432,7 +432,7 @@ class Interp:
             cond = self._critical(com, run, c_fail_after if is_try else c_mutate)
             then, (t_fail, t_mutate, t_fail_after) = self._build(com.then, built)
             els, (e_fail, e_mutate, e_fail_after) = self._build(com.els, built)
-            kept = is_try and c_mutate  # a try keeps its condition's success
+            kept = is_try and c_mutate  # a try keeps a successful condition's run
 
             def branch(G: Graph) -> str:
                 status = cond(G)
