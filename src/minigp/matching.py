@@ -2,16 +2,19 @@
 
 `compile_plan` turns a left-hand side into a search plan once: a flat
 sequence of steps that seed node slots at host roots and follow the
-per-root edge enumerations out of filled slots.  `match_all` runs the plan
-over small tuples of node and edge images, and each complete match stays
-such a pair of tuples, indexed by the plan's slots, all the way to the
-rewrite.  For rules whose nodes are all root-reachable the work done is
-independent of host size.
+per-root edge enumerations out of filled slots.  `search_tree` merges the
+plans of several rules on their equal step prefixes, and `match_all`
+walks such a tree once over small tuples of node and edge images: each
+shared step runs once for all the plans below it, and a subtree is
+dropped as soon as its prefix has no partial match.  A single plan is
+searched as a one-leaf tree.  Each complete match stays a pair of tuples,
+indexed by its plan's slots, all the way to the rewrite.  For rules whose
+nodes are all root-reachable the work done is independent of host size.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError
 from .graphs import Graph, Label
@@ -69,6 +72,9 @@ def share(piece):
     return _SHARED.setdefault(piece, piece)
 
 
+Step = tuple[int, Optional[Label], int, Optional[Label], bool]
+
+
 class SearchPlan(NamedTuple):
     """A left-hand side compiled into a fixed sequence of search steps.
 
@@ -81,7 +87,7 @@ class SearchPlan(NamedTuple):
     edges give the left-side id held by each slot.
     """
 
-    steps: tuple[tuple[int, Optional[Label], int, Optional[Label], bool], ...]
+    steps: tuple[Step, ...]
     nodes: tuple[int, ...]
     edges: tuple[int, ...]
 
@@ -111,52 +117,84 @@ def compile_plan(L: Graph) -> SearchPlan:
     return SearchPlan(tuple(steps), share(tuple(slot)), share(tuple(edges)))
 
 
+# A search tree node is a pair (leaves, branches): the numbers of the plans
+# that end at this node, and one (step, subtree) pair per distinct next
+# step, in order of first use.
+Tree = tuple[tuple[int, ...], tuple[tuple[Step, "Tree"], ...]]
+
+
+def search_tree(plans: Sequence[SearchPlan]) -> Tree:
+    """The plans merged on equal step prefixes into one tree whose leaf i
+    ends plan i.  Steps are equal only when all five fields are, so the
+    partial matches at a tree node are exactly those of every plan
+    through it after that many steps.  Equal subtrees are stored once."""
+    return _merge([(i, plan.steps) for i, plan in enumerate(plans)], 0)
+
+
+def _merge(entries: list[tuple[int, tuple[Step, ...]]], depth: int) -> Tree:
+    leaves = []
+    branches: dict[Step, list] = {}
+    for i, steps in entries:
+        if len(steps) == depth:
+            leaves.append(i)
+        else:
+            branches.setdefault(steps[depth], []).append((i, steps))
+    return share((tuple(leaves), tuple([(step, _merge(sub, depth + 1))
+                                        for step, sub in branches.items()])))
+
+
 Match = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class MatchResult(NamedTuple):
-    """The complete matches of a plan, in search order, and the number of
-    single-item extensions tried.  A match is a pair (node images, edge
-    images): slot i of the plan's nodes (edges) maps to the i-th host id."""
+    """The complete matches of each plan of a tree that has any, keyed by
+    leaf number, each list in search order, and the number of single-item
+    extensions tried.  A match is a pair (node images, edge images): slot
+    i of the plan's nodes (edges) maps to the i-th host id."""
 
-    matches: list[Match]
+    matches: dict[int, list[Match]]
     extensions: int
 
 
-def match_all(plan: SearchPlan, G: Graph) -> MatchResult:
+def match_all(tree: Tree, G: Graph) -> MatchResult:
     """All total injective root-preserving/reflecting morphisms from the
-    plan's left side into G.
+    left side of each plan in the tree into G.
 
-    Runs the plan breadth first over tuples of node and edge images.  Also
-    reports how many single-item extensions were tried: one per host root
-    at a seed step and one per followed out-edge."""
+    Walks the tree depth first, running each step breadth first over the
+    partial matches of its prefix.  Also reports how many single-item
+    extensions were tried: one per host root at a seed step and one per
+    followed out-edge, each counted once however many plans share it."""
     nodes, edges, roots, out = G.nodes, G.edges, G.roots, G.out_edges
-    partials = [((), ())]
+    host_roots = sorted(roots)
+    found: dict[int, list[Match]] = {}
     count = 0
-    for src, elab, tgt, nlab, root in plan.steps:
-        grown = []
-        if src < 0:
-            host_roots = sorted(roots)
-            count += len(partials) * len(host_roots)
-            for nimg, eimg in partials:
-                for w in host_roots:
-                    if nodes[w] == nlab and w not in nimg:
-                        grown.append((nimg + (w,), eimg))
-        else:
-            for nimg, eimg in partials:
-                cands = out(nimg[src])
-                count += len(cands)
-                for f in cands:
-                    _, t, lab = edges[f]
-                    if lab != elab or f in eimg:
-                        continue
-                    if tgt >= 0:
-                        if nimg[tgt] == t:
-                            grown.append((nimg, eimg + (f,)))
-                    elif (t not in nimg and nodes[t] == nlab
-                          and (t in roots) == root):
-                        grown.append((nimg + (t,), eimg + (f,)))
-        partials = grown
-        if not partials:
-            break
-    return MatchResult(partials, count)
+    todo: list[tuple[Tree, list[Match]]] = [(tree, [((), ())])]
+    while todo:
+        (leaves, branches), partials = todo.pop()
+        for i in leaves:
+            found[i] = partials
+        for (src, elab, tgt, nlab, root), sub in branches:
+            grown = []
+            if src < 0:
+                count += len(partials) * len(host_roots)
+                for nimg, eimg in partials:
+                    for w in host_roots:
+                        if nodes[w] == nlab and w not in nimg:
+                            grown.append((nimg + (w,), eimg))
+            else:
+                for nimg, eimg in partials:
+                    cands = out(nimg[src])
+                    count += len(cands)
+                    for f in cands:
+                        _, t, lab = edges[f]
+                        if lab != elab or f in eimg:
+                            continue
+                        if tgt >= 0:
+                            if nimg[tgt] == t:
+                                grown.append((nimg, eimg + (f,)))
+                        elif (t not in nimg and nodes[t] == nlab
+                              and (t in roots) == root):
+                            grown.append((nimg + (t,), eimg + (f,)))
+            if grown:
+                todo.append((sub, grown))
+    return MatchResult(found, count)

@@ -16,9 +16,15 @@ rules, many of which a run never tries: compiling all 2,656 rules of the
 filler machine up front takes nearly as long as generating them.  Plans
 are built for the rules a run tries, and scripts for the rules that
 match or whose no-op test a run's build pass reads.  Equal compiled
-pieces are shared between rules, so the compiled form stays small.  `RuleSet.candidates` keeps only the rules whose left-root labels
-all occur among the host's root labels, memoized under that set and,
-from the first miss on, grouped by their left-root labels.
+pieces are shared between rules, so the compiled form stays small.
+
+`RuleSet.candidates` keeps only the rules whose left-root labels all
+occur among the host's root labels, memoized under that set and, from
+the first miss on, grouped by their left-root labels.  Each miss also
+merges the candidates' plans into one search tree, so `apply_ruleset`
+makes one `match_all` call per scan, and none when no rule is a
+candidate.  A set whose only rule has two empty sides, GP's `skip`, has
+the same outcome on every host and returns it without a scan.
 `apply_ruleset` calls `dangling_ok` only for node-deleting rules.
 """
 
@@ -26,12 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import graphs
 from .errors import InputError, RunError
 from .graphs import Graph, Label
-from .matching import Match, SearchPlan, compile_plan, match_all, share
+from .matching import (Match, SearchPlan, Tree, compile_plan, match_all,
+                       search_tree, share)
 
 
 class DanglingViolation(RunError):
@@ -177,6 +184,33 @@ def apply(G: Graph, r: Rule, match: Match) -> Graph:
     return G
 
 
+class Outcome(NamedTuple):
+    applied: bool
+    rule: Optional[Rule]
+    total_matches: int
+
+
+_NO_MATCH = Outcome(False, None, 0)
+
+
+class Candidates:
+    """The rules of a set that can match hosts with given root labels, in
+    declared order, and `tree`, the search tree of their plans, with leaf
+    i for rule i."""
+
+    __slots__ = ("rules", "tree")
+
+    def __init__(self, rules: tuple[Rule, ...]):
+        self.rules = rules
+        self.tree: Tree = search_tree([r.plan for r in rules])
+
+    def __len__(self) -> int:
+        return len(self.rules)
+
+    def __iter__(self) -> Iterator[Rule]:
+        return iter(self.rules)
+
+
 class RuleSet:
     """Ordered rule list that skips rules which cannot match a host.
 
@@ -184,16 +218,26 @@ class RuleSet:
     rule is a candidate only if all its left-root labels occur among the
     host's root labels.  Skipped rules have zero matches by construction,
     leaving outcomes and counts unchanged.  The first memo miss, not the
-    constructor, groups the rules by their left-root labels."""
+    constructor, groups the rules by their left-root labels.
+
+    `outcome` is the outcome of every scan when the only rule has two
+    empty sides: it matches once on any host and changes nothing.  It is
+    None for every other set."""
 
     def __init__(self, rules: list[Rule]):
         self.rules = tuple(rules)
-        self._memo: dict[frozenset, tuple[Rule, ...]] = {}
+        self._memo: dict[frozenset, Candidates] = {}
         self._groups: Optional[list[tuple[frozenset, tuple[int, ...]]]] = None
+        self.outcome: Optional[Outcome] = None
+        if len(self.rules) == 1:
+            (r,) = self.rules
+            if not r.left.nodes and not r.right.nodes:
+                self.outcome = Outcome(True, r, 1)
 
-    def candidates(self, G: Graph) -> tuple[Rule, ...]:
-        """The rules that can match G, in declared order; memoized under the
-        set of root labels, which is all the answer depends on."""
+    def candidates(self, G: Graph) -> Candidates:
+        """The rules that can match G, in declared order, with their search
+        tree; memoized under the set of root labels, which is all the
+        answer depends on."""
         key = frozenset(map(G.nodes.__getitem__, G.roots))
         found = self._memo.get(key)
         if found is None:
@@ -203,29 +247,27 @@ class RuleSet:
                     need = frozenset([r.left.nodes[v] for v in r.left.roots])
                     groups.setdefault(share(need), []).append(i)
                 self._groups = [(need, tuple(at)) for need, at in groups.items()]
-            found = tuple(map(self.rules.__getitem__, sorted(
-                i for need, at in self._groups if need <= key for i in at)))
+            found = Candidates(tuple(map(self.rules.__getitem__, sorted(
+                i for need, at in self._groups if need <= key for i in at))))
             self._memo[share(key)] = found
         return found
 
 
-class Outcome(NamedTuple):
-    applied: bool
-    rule: Optional[Rule]
-    total_matches: int
-
-
 def apply_ruleset(G: Graph, rules: RuleSet) -> Outcome:
-    """Scan the candidate rules in declared order and apply the first match
-    of the first rule that has one satisfying the dangling condition,
-    rewriting G in place.  The total number of applicable matches across
-    the whole set is reported either way."""
+    """Search every candidate rule at once and apply the first match of
+    the first rule in declared order that has one satisfying the dangling
+    condition, rewriting G in place.  The total number of applicable
+    matches across the whole set is reported either way."""
+    if rules.outcome is not None:
+        return rules.outcome
+    cands = rules.candidates(G)
+    if not cands.rules:
+        return _NO_MATCH
+    found = match_all(cands.tree, G).matches
     total = 0
     chosen = None
-    for r in rules.candidates(G):
-        ok = match_all(r.plan, G).matches
-        if not ok:
-            continue
+    for i in sorted(found):
+        r, ok = cands.rules[i], found[i]
         if r.script.nodes:
             ok = [m for m in ok if dangling_ok(m, r, G)]
         total += len(ok)

@@ -13,15 +13,15 @@ import time
 from random import Random
 
 from conftest import RANDOM_SEED
-from util import (bench_host, block_content, match_bruteforce, morphism,
-                  random_match_pair, run_program)
+from util import (bench_host, block_content, match_bruteforce, match_plan,
+                  morphism, random_match_pair, run_program)
 
 from minigp.compiler import gen_sim
 from minigp.encoding import EncodingParams, content_digits, enc
 from minigp.graphs import Graph, Label, graph_space
 from minigp.harness import run_sim
 from minigp.lang import Done, Fail, parse_program
-from minigp.matching import compile_plan, match_all
+from minigp.matching import compile_plan, match_all, search_tree
 from minigp.rules import Rule
 from minigp.turing import TMConfiguration, TuringMachine
 
@@ -61,7 +61,7 @@ def test_matching_agrees_with_bruteforce():
     for i in range(200):
         L, G = random_match_pair(rng, max_l=4, max_g=8)
         plan = compile_plan(L)
-        fast = {morphism(plan, m).key() for m in match_all(plan, G).matches}
+        fast = {morphism(plan, m).key() for m in match_plan(plan, G).matches}
         slow = {h.key() for h in match_bruteforce(L, G)}
         assert fast == slow, f"pair {i}: fast {fast} != brute force {slow}"
     assert time.perf_counter() - t0 < 30.0
@@ -69,14 +69,14 @@ def test_matching_agrees_with_bruteforce():
 
 def _best_batch_seconds(rule: Rule, host: Graph, calls: int = 20,
                         reps: int = 100) -> float:
-    """Best time of a batch of matches with the rule's cached search plan,
-    the path the rule-set scan runs."""
-    plan = rule.plan
+    """Best time of a batch of matches with the one-leaf search tree of
+    the rule's cached plan, the path the rule-set scan runs."""
+    tree = search_tree([rule.plan])
     best = math.inf
     for _ in range(reps):
         t0 = time.perf_counter()
         for _ in range(calls):
-            match_all(plan, host)
+            match_all(tree, host)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -98,7 +98,7 @@ def test_matching_cost_size_independent():
 
     for name, count in expected.items():
         rule = by_name[name]
-        extensions = {match_all(compile_plan(rule.left), g).extensions
+        extensions = {match_plan(compile_plan(rule.left), g).extensions
                       for g in hosts}
         assert extensions == {count}, f"{name}: extensions {extensions}"
         times = [_best_batch_seconds(rule, g) for g in hosts]

@@ -13,9 +13,12 @@ from minigp.matching import (
     compile_plan,
     edge_enumerations,
     match_all,
+    search_tree,
 )
-from util import (PartialMorphism, check_morphism, match_bruteforce, morphism,
-                  random_match_pair)
+from conftest import RANDOM_SEED
+from util import (PartialMorphism, PlanMatches, check_morphism, family_hosts,
+                  match_bruteforce, match_plan, morphism, random_family,
+                  random_graph, random_match_pair)
 
 
 def two_node_graphs():
@@ -33,8 +36,8 @@ def two_node_graphs():
 def morphisms(L, G):
     """match_all on L's compiled plan, with each match as a morphism."""
     plan = compile_plan(L)
-    res = match_all(plan, G)
-    return MatchResult([morphism(plan, m) for m in res.matches],
+    res = match_plan(plan, G)
+    return PlanMatches([morphism(plan, m) for m in res.matches],
                        res.extensions)
 
 
@@ -180,7 +183,7 @@ class TestCompilePlan:
         f1 = G.add_edge(g1, gx, Label(4))
         plan = compile_plan(L)
         assert plan.nodes == (r1, x, r2) and plan.edges == (e1, e2)
-        res = match_all(plan, G)
+        res = match_plan(plan, G)
         assert res.matches == [((g1, gx, g2), (f1, f2))]
         assert [morphism(plan, m) for m in res.matches] == \
             match_bruteforce(L, G)
@@ -311,15 +314,60 @@ class TestMatchAll:
             return G
 
         plan = compile_plan(L)
-        counts = {match_all(plan, host(extra)).extensions for extra in (0, 10, 100, 1000)}
+        counts = {match_plan(plan, host(extra)).extensions for extra in (0, 10, 100, 1000)}
         assert len(counts) == 1
 
     def test_returns_match_result(self):
         L = Graph()
         G = Graph()
-        res = match_all(compile_plan(L), G)
+        res = match_all(search_tree([compile_plan(L)]), G)
         assert isinstance(res, MatchResult)
-        assert res.extensions == 0
+        assert res.matches == {0: [((), ())]} and res.extensions == 0
+
+
+class TestSearchTree:
+    def test_equal_prefixes_merge(self):
+        """Plans share a tree node only while their steps are equal in all
+        five fields; a root flag or a target slot alone splits them.  Leaf
+        i ends plan i, and equal plans end at one node."""
+        seed = (-1, None, -1, Label(0), True)
+        step = (0, Label(None, "red"), -1, Label(1), False)
+        rooted = (0, Label(None, "red"), -1, Label(1), True)
+        back = (1, EMPTY, 0, None, False)
+        loop = (1, EMPTY, 1, None, False)
+        plans = [SearchPlan(steps, (), ()) for steps in [
+            (seed, step, back), (seed, step, loop), (seed, rooted), (seed,),
+            (seed, step, back)]]
+        assert search_tree(plans) == ((), (
+            (seed, ((3,), (
+                (step, ((), ((back, ((0, 4), ())), (loop, ((1,), ()))))),
+                (rooted, ((2,), ()))))),))
+        assert search_tree([]) == ((), ())
+
+    def test_tree_finds_what_each_plan_finds_alone(self):
+        """Under leaf i the tree reports exactly the matches plan i finds
+        alone, in the same order, and it reports no leaf without one.
+        Shared steps run once, so it never tries more extensions."""
+        rng = random.Random(RANDOM_SEED)
+        fewer = found = 0
+        for _ in range(150):
+            family, _ = random_family(rng)
+            plans = [r.plan for r in family]
+            tree = search_tree(plans)
+            hosts = family_hosts(rng, family)
+            hosts.append(random_graph(rng, 6, [None, 0, 1], [None],
+                                      [None, "red"]))
+            for G in hosts:
+                res = match_all(tree, G)
+                alone = [match_plan(plan, G) for plan in plans]
+                assert res.matches == {i: a.matches
+                                       for i, a in enumerate(alone)
+                                       if a.matches}
+                spent = sum(a.extensions for a in alone)
+                assert res.extensions <= spent
+                fewer += res.extensions < spent
+                found += len(res.matches)
+        assert fewer >= 500 and found >= 1000
 
 
 class TestBruteforce:

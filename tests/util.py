@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 from pathlib import Path
 from random import Random
+from typing import NamedTuple
 
 from minigp.encoding import (CapacityExceeded, EncodingParams,
                              MalformedConfigGraph, OutOfRange,
@@ -18,7 +19,8 @@ from minigp.graphs import EMPTY, Atom, Graph, Label, graph_space
 from minigp.lang import (Break, BudgetExceeded, Com, Done, ExecStats, Fail,
                          If, Interp, Loop, NullFailureViolation, Program,
                          RuleCall, Seq, Try)
-from minigp.matching import NotFastRule, edge_enumerations
+from minigp.matching import (NotFastRule, edge_enumerations, match_all,
+                             search_tree)
 from minigp.rules import DanglingViolation, Rule, apply_ruleset
 from minigp.turing import (BLANK, TMConfiguration, TuringMachine, parse_tm,
                            tm_run)
@@ -307,6 +309,78 @@ def random_rule_and_host(rng, max_l=4, max_new=2):
     return Rule("random", L, R, interface), host
 
 
+FAMILY_CHANGES = ("node label", "edge label", "root flag", "edge target",
+                  "none")
+
+
+def random_family(rng, size=8):
+    """Rules built like the generated `MoveLeft` family: one base left
+    side, a root over a tree of 1 to 3 nodes with extra edges between
+    them, and variants that each differ from the base in one place: a
+    deeper node's label, an edge's label, a deeper node's root flag, an
+    extra edge's target, or nowhere.  Rule k relabels the root to the
+    atom 10 + k, and some rules delete a deeper node.  Returns the rules
+    and the change each made, "base" for the first."""
+    atoms, emarks = [0, 1], [None, "red"]
+    n = rng.randint(2, 4)
+    labels = [Label(rng.choice(atoms)) for _ in range(n)]
+    tree = [(rng.randrange(i), i, Label(None, rng.choice(emarks)))
+            for i in range(1, n)]
+    extra = [(rng.randrange(n), rng.randrange(n),
+              Label(None, rng.choice(emarks)))
+             for _ in range(rng.randint(1, 2))]
+    specs = [(labels, {0}, tree, extra, "base")]
+    for _ in range(size - 1):
+        labels2, roots2 = list(labels), {0}
+        tree2, extra2 = list(tree), list(extra)
+        change = rng.choice(FAMILY_CHANGES)
+        v = rng.randrange(1, n)
+        if change == "node label":
+            labels2[v] = Label(1 - labels2[v].atom)
+        elif change == "root flag":
+            roots2.add(v)
+        elif change == "edge target":
+            j = rng.randrange(len(extra2))
+            s, t, lab = extra2[j]
+            extra2[j] = (s, rng.choice([u for u in range(n) if u != t]), lab)
+        elif change == "edge label":
+            edges = tree2 + extra2
+            j = rng.randrange(len(edges))
+            s, t, lab = edges[j]
+            flipped = (s, t, Label(None, "red" if lab.mark is None else None))
+            if j < len(tree2):
+                tree2[j] = flipped
+            else:
+                extra2[j - len(tree2)] = flipped
+        specs.append((labels2, roots2, tree2, extra2, change))
+    family, changes = [], []
+    for k, (labels, roots, tree, extra, change) in enumerate(specs):
+        L, R = Graph(), Graph()
+        gone = rng.randrange(1, n) if rng.random() < 0.3 else None
+        for v, lab in enumerate(labels):
+            L.add_node(lab, root=v in roots)
+            if v != gone:
+                R.add_node(Label(10 + k) if v == 0 else lab, root=v in roots,
+                           nid=v)
+        for s, t, lab in tree + extra:
+            L.add_edge(s, t, lab)
+            if gone not in (s, t):
+                R.add_edge(s, t, lab)
+        family.append(Rule(f"v{k}", L, R,
+                           {v: v for v in range(n) if v != gone}))
+        changes.append(change)
+    return family, changes
+
+
+def family_hosts(rng, family, count=4):
+    """Hosts that each embed the left side of a random member of the
+    family, so that it and often some other members match, with extra
+    nodes and edges over the family's labels."""
+    return [embed_and_grow(rng, rng.choice(family).left, 3, [None, 0, 1],
+                           [None], [None, "red"])
+            for _ in range(count)]
+
+
 @dataclass
 class PartialMorphism:
     """Injective structure-preserving partial map between two graphs."""
@@ -366,6 +440,19 @@ def match_bruteforce(L: Graph, G: Graph) -> list[PartialMorphism]:
                 results.append(h)
     results.sort(key=PartialMorphism.key)
     return results
+
+
+class PlanMatches(NamedTuple):
+    """One plan's matches in search order, and the extensions tried."""
+
+    matches: list
+    extensions: int
+
+
+def match_plan(plan, G) -> PlanMatches:
+    """match_all on the plan alone, searched as a one-leaf tree."""
+    res = match_all(search_tree([plan]), G)
+    return PlanMatches(res.matches.get(0, []), res.extensions)
 
 
 def morphism(plan, match):
