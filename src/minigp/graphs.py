@@ -1,6 +1,8 @@
 """Labelled rooted directed graphs with parallel edges and loops, and
 `to_text`, the one serialization (the CLI writes graphs; nothing in the
-package reads them back)."""
+package reads them back).  A graph indexes only its out-edges, so an edge
+update touches just its source's out-list; `in_edges` scans every edge,
+and only node deletion reads it."""
 
 from __future__ import annotations
 
@@ -53,9 +55,10 @@ class Graph:
     window is open, each primitive mutation (adding or removing a node or
     an edge, relabelling a node) appends one record, and `rollback` pops
     them in reverse; the journal closes with the last nested window, so a
-    graph outside them records nothing."""
+    graph outside them records nothing.  `_out`, each node's out-edge ids,
+    is the only adjacency index."""
 
-    __slots__ = ("nodes", "edges", "roots", "_out", "_in", "next_node_id", "next_edge_id",
+    __slots__ = ("nodes", "edges", "roots", "_out", "next_node_id", "next_edge_id",
                  "_log", "_windows")
 
     def __init__(self) -> None:
@@ -63,7 +66,6 @@ class Graph:
         self.edges: dict[int, tuple[int, int, Label]] = {}
         self.roots: set[int] = set()
         self._out: dict[int, list[int]] = {}
-        self._in: dict[int, list[int]] = {}
         self.next_node_id = 0
         self.next_edge_id = 0
         self._log: Optional[list[tuple]] = None
@@ -77,7 +79,6 @@ class Graph:
             raise InputError(f"node id {nid} already present")
         self.nodes[nid] = label
         self._out[nid] = []
-        self._in[nid] = []
         if root:
             self.roots.add(nid)
         self.next_node_id = max(self.next_node_id, nid + 1)
@@ -95,7 +96,6 @@ class Graph:
             raise InputError(f"edge id {eid} already present")
         self.edges[eid] = (src, tgt, label)
         insort(self._out[src], eid)
-        insort(self._in[tgt], eid)
         self.next_edge_id = max(self.next_edge_id, eid + 1)
         if self._log is not None:
             self._log.append((_ADDED_EDGE, eid, None))
@@ -104,16 +104,14 @@ class Graph:
     def remove_edge(self, eid: int) -> None:
         edge = self.edges.pop(eid)
         self._out[edge[0]].remove(eid)
-        self._in[edge[1]].remove(eid)
         if self._log is not None:
             self._log.append((_REMOVED_EDGE, eid, edge))
 
     def remove_node(self, nid: int) -> None:
-        if self._out[nid] or self._in[nid]:
+        if self._out[nid] or self.in_edges(nid):
             raise InputError(f"node {nid} still has incident edges")
         label = self.nodes.pop(nid)
         del self._out[nid]
-        del self._in[nid]
         self.roots.discard(nid)
         if self._log is not None:
             self._log.append((_REMOVED_NODE, nid, label))
@@ -138,7 +136,9 @@ class Graph:
         return self._out[nid]
 
     def in_edges(self, nid: int) -> list[int]:
-        return self._in[nid]
+        """Incoming edge ids of a node, ascending: a scan of every edge,
+        sorted because a rolled-back edge re-enters `edges` at its end."""
+        return sorted(e for e, (_, tgt, _) in self.edges.items() if tgt == nid)
 
     def copy(self) -> Graph:
         g = Graph.__new__(Graph)
@@ -146,7 +146,6 @@ class Graph:
         g.edges = dict(self.edges)
         g.roots = set(self.roots)
         g._out = {v: list(es) for v, es in self._out.items()}
-        g._in = {v: list(es) for v, es in self._in.items()}
         g.next_node_id = self.next_node_id
         g.next_edge_id = self.next_edge_id
         g._log = None
@@ -175,27 +174,23 @@ class Graph:
         saved = mark.saved
         if saved is not None:
             self.nodes, self.edges = saved.nodes, saved.edges
-            self._out, self._in = saved._out, saved._in
+            self._out = saved._out
         else:
             log = self._log
-            nodes, edges, out, inn = self.nodes, self.edges, self._out, self._in
+            nodes, edges, out = self.nodes, self.edges, self._out
             for op, item, old in reversed(log[mark.at:]):
                 if op == _REMOVED_EDGE:
                     edges[item] = old
                     insort(out[old[0]], item)
-                    insort(inn[old[1]], item)
                 elif op == _ADDED_EDGE:
-                    src, tgt, _ = edges.pop(item)
-                    out[src].remove(item)
-                    inn[tgt].remove(item)
+                    out[edges.pop(item)[0]].remove(item)
                 elif op == _RELABELLED:
                     nodes[item] = old
                 elif op == _REMOVED_NODE:
                     nodes[item] = old
                     out[item] = []
-                    inn[item] = []
                 else:
-                    del nodes[item], out[item], inn[item]
+                    del nodes[item], out[item]
             del log[mark.at:]
         self.next_node_id = mark.next_node_id
         self.next_edge_id = mark.next_edge_id

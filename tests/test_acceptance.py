@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
+from collections import Counter
 from random import Random
 
 from conftest import RANDOM_SEED
@@ -104,6 +105,49 @@ def test_matching_cost_size_independent():
         times = [_best_batch_seconds(rule, g) for g in hosts]
         assert max(times) < 3 * min(times), f"{name}: spread {times}"
     assert time.perf_counter() - t0 < 120.0
+
+
+def _best_edit_seconds(host: Graph, edge: int, calls: int = 20,
+                       reps: int = 100) -> float:
+    """Best time of a batch of nested windows that each remove and re-add
+    edge, then roll back and release: the edge updates and journal replay
+    of a rule application inside the interpreter's outer window."""
+    src, tgt, label = host.edges[edge]
+    outer = host.mark()
+    best = math.inf
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            mark = host.mark()
+            host.remove_edge(edge)
+            host.add_edge(src, tgt, label)
+            host.rollback(mark)
+            host.release(mark)
+        best = min(best, time.perf_counter() - t0)
+    host.rollback(outer)
+    host.release(outer)
+    return best
+
+
+def test_application_cost_size_independent():
+    """Editing an edge into the node of highest in-degree, which every
+    blank block's dashed edge points to, costs the same at every host
+    size: an edge update touches no list that grows with the host."""
+    t0 = time.perf_counter()
+    hosts = [bench_host(target) for target in (100, 1_000, 10_000, 100_000)]
+    assert graph_space(hosts[-1]) >= 100_000
+    degrees, times = [], []
+    for g in hosts:
+        hub, degree = Counter(t for _, t, _ in g.edges.values()).most_common(1)[0]
+        edge = min(e for e, (_, t, lab) in g.edges.items()
+                   if t == hub and lab.mark == "dashed")
+        want = dict(g.edges)
+        times.append(_best_edit_seconds(g, edge))
+        assert g.edges == want
+        degrees.append(degree)
+    assert degrees[-1] > 1_000 * degrees[0]
+    assert max(times) < 3 * min(times), f"spread {times}"
+    assert time.perf_counter() - t0 < 60.0
 
 
 def test_lockstep_zero_divergence(verify_reports):

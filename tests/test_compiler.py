@@ -1,6 +1,7 @@
 """Compiled simulators: generated rules, contracts, and whole-machine runs."""
 
 from functools import partial
+from random import Random
 
 import pytest
 
@@ -28,8 +29,10 @@ from minigp.turing import (
     initial_configuration,
     tm_run,
 )
+from conftest import RANDOM_SEED
 from util import (FIXTURES, StepInterp, analysis, check_boundedness,
-                  counter_input, fixture_machine, run_program, unary)
+                  counter_input, fixture_machine, random_machine_pair,
+                  run_program, unary)
 
 EMPTY_M = TuringMachine(0, 0, {})
 ONES = TuringMachine(0, 1, {
@@ -166,10 +169,17 @@ class TestLibrary:
             assert total == 61 + 57 * len(m.states) + trans
 
     def test_no_rule_deletes_nodes(self):
-        sim = gen_sim(ZIGZAG)
-        for rules in sim.library.values():
-            for r in rules:
-                assert set(r.interface) == set(r.left.nodes)
+        """No rule of the fixture machines or the 20 golden random machines
+        deletes a node, so no run reaches `rules.dangling_ok` or
+        `Graph.in_edges`, each a scan of every host edge."""
+        rng = Random(RANDOM_SEED)
+        machines = [ZIGZAG] + [fixture_machine(f.stem)
+                               for f in sorted(FIXTURES.glob("*.tm"))]
+        machines += [random_machine_pair(rng)[0] for _ in range(20)]
+        for m in machines:
+            for rules in gen_sim(m).library.values():
+                for r in rules:
+                    assert r.script.nodes == (), r.name
 
     def test_unfinished_is_a_static_noop_and_setflag_is_not(self):
         sim = gen_sim(ONES)

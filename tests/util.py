@@ -761,7 +761,6 @@ def restore(g, saved):
     g.edges = saved.edges
     g.roots = saved.roots
     g._out = saved._out
-    g._in = saved._in
     g.next_node_id = saved.next_node_id
     g.next_edge_id = saved.next_edge_id
 
