@@ -109,6 +109,8 @@ def layout(s: TMConfiguration, k: int) -> tuple[list[Label], list[tuple[int, int
         raise OutOfRange(f"input head {s.input_head} outside [0, {n})")
     if set(s.work) - {"0", "1", "2"}:
         raise OutOfRange(f"work must be over {{0,1,2}}, got {s.work!r}")
+    if s.work.endswith(str(BLANK)):
+        raise OutOfRange(f"work must end at its last nonblank square, got {s.work!r}")
     if s.work_head < 0:
         raise OutOfRange(f"work head {s.work_head} is negative")
 

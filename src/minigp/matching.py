@@ -1,15 +1,17 @@
 """Injective root-preserving morphisms and root-driven match enumeration.
 
-`compile_plan` turns a left-hand side into a search plan once: a flat
-sequence of steps that seed node slots at host roots and follow the
-per-root edge enumerations out of filled slots.  `search_tree` merges the
-plans of several rules on their equal step prefixes, and `match_all`
-walks such a tree once over small tuples of node and edge images: each
-shared step runs once for all the plans below it, and a subtree is
-dropped as soon as its prefix has no partial match.  A single plan is
-searched as a one-leaf tree.  Each complete match stays a pair of tuples,
-indexed by its plan's slots, all the way to the rewrite.  For rules whose
-nodes are all root-reachable the work done is independent of host size.
+`compile_plan` turns a left-hand side into a search plan once, in one
+breadth-first walk from its roots: a flat sequence of steps that seed
+node slots at host roots and follow edges out of filled slots.  The walk
+also checks that the rule is fast, with every node reachable from a
+root.  `search_tree` merges the plans of several rules on their
+equal step prefixes, and `match_all` walks such a tree once over small
+tuples of node and edge images: each shared step runs once for all the
+plans below it, and a subtree is dropped as soon as its prefix has no
+partial match.  A single plan is searched as a one-leaf tree.  Each
+complete match stays a pair of tuples, indexed by its plan's slots, all
+the way to the rewrite.  For fast rules the work done is independent of
+host size.
 """
 
 from __future__ import annotations
@@ -26,38 +28,6 @@ class NotFastRule(InputError):
     def __init__(self, node: int):
         super().__init__(f"node {node} is not reachable from any root")
         self.node = node
-
-
-def edge_enumerations(L: Graph) -> dict[int, list[int]]:
-    """Per-root edge orderings that jointly cover every edge of L.
-
-    Each root's list is a breadth-first expansion: an edge appears only after
-    its source node has been introduced by the root or an earlier edge.
-    Raises NotFastRule if some node is unreachable from every root."""
-    enums: dict[int, list[int]] = {}
-    claimed: set[int] = set()
-    covered: set[int] = set()
-    for root in sorted(L.roots):
-        order: list[int] = []
-        seen = {root}
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for e in L.out_edges(u):
-                if e in claimed:
-                    continue
-                claimed.add(e)
-                order.append(e)
-                t = L.edges[e][1]
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        enums[root] = order
-        covered |= seen
-    missing = set(L.nodes) - covered
-    if missing:
-        raise NotFastRule(min(missing))
-    return enums
 
 
 # Compiled pieces are immutable, and a generated library repeats a few of
@@ -93,27 +63,36 @@ class SearchPlan(NamedTuple):
 
 
 def compile_plan(L: Graph) -> SearchPlan:
-    """The search plan that seeds each root of L in ascending id order and
-    follows its edge enumeration.  Raises NotFastRule like
-    edge_enumerations."""
-    enums = edge_enumerations(L)
+    """The search plan of L: a breadth-first walk from each root of L in
+    ascending id order that emits a step for every edge it reaches.  A
+    root reached from an earlier root is not seeded, and its edges are
+    already in the plan.  Raises NotFastRule if some node is unreachable
+    from every root."""
     slot: dict[int, int] = {}
     steps = []
     edges = []
     for root in sorted(L.roots):
-        # A root already reached through an earlier enumeration is not seeded.
-        if root not in slot:
-            slot[root] = len(slot)
-            steps.append(share((-1, None, -1, L.nodes[root], True)))
-        for e in enums[root]:
-            s, t, lab = L.edges[e]
-            if t in slot:
-                steps.append(share((slot[s], lab, slot[t], None, False)))
-            else:
-                slot[t] = len(slot)
-                steps.append(share((slot[s], lab, -1, L.nodes[t],
-                                    t in L.roots)))
-            edges.append(e)
+        if root in slot:
+            continue
+        slot[root] = len(slot)
+        steps.append(share((-1, None, -1, L.nodes[root], True)))
+        # Each node is walked once, when it gets its slot, so each edge is
+        # emitted once, as the out-edge of its source.
+        queue = [root]
+        for u in queue:
+            for e in L.out_edges(u):
+                s, t, lab = L.edges[e]
+                if t in slot:
+                    steps.append(share((slot[s], lab, slot[t], None, False)))
+                else:
+                    slot[t] = len(slot)
+                    steps.append(share((slot[s], lab, -1, L.nodes[t],
+                                        t in L.roots)))
+                    queue.append(t)
+                edges.append(e)
+    missing = L.nodes.keys() - slot.keys()
+    if missing:
+        raise NotFastRule(min(missing))
     return SearchPlan(tuple(steps), share(tuple(slot)), share(tuple(edges)))
 
 

@@ -21,6 +21,8 @@ def verification_cases():
     cases = [(f"stamp-{n}", stamp, unary(n)) for n in range(1, 7)]
     cases += [(f"count-{n}", counter_machine(), counter_input(n))
               for n in range(1, 9)]
+    sweep = fixture_machine("sweep")
+    cases += [(f"sweep-{n}", sweep, "0" * n + "1") for n in (20, 45)]
     rng = Random(RANDOM_SEED)
     for i in range(20):
         m, input = random_machine_pair(rng)

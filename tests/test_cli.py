@@ -123,6 +123,7 @@ GEN_SHA256 = {
     "filler": "13b40e1d794a61a5d529267fb27377d58b4a5ffb326650d07cb9baaeb653c641",
     "ones": "6fbdc6f5940c63e4cfe50f72cf3d950fee9ee02aa13f953a9cd58693cb8a6b0d",
     "stamp": "c5f21500b5a019e116be64be29995bc550de8492a5214f6ceaca1248bcb3e5aa",
+    "sweep": "ef91c1521771df20e8985494269ff575e8ccf5b02f3a0ee12f1b894c9f9a71c1",
 }
 
 

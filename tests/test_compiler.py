@@ -1,6 +1,7 @@
 """Compiled simulators: generated rules, contracts, and whole-machine runs."""
 
 from functools import partial
+from hashlib import sha256
 from random import Random
 
 import pytest
@@ -21,7 +22,6 @@ from minigp.errors import InputError
 from minigp.graphs import Graph, Label, to_text
 from minigp.lang import Done, If, Interp, Loop, Seq, Try, parse_program
 from minigp.machines import counter_machine, filler_machine
-from minigp.matching import edge_enumerations
 from minigp.rules import RuleSet, apply_ruleset
 from minigp.turing import (
     TMConfiguration,
@@ -52,6 +52,17 @@ ZIGZAG = TuringMachine(0, 5, {
     (4, 1, 1): (5, 1, "S", "S"),
 })
 FILL19 = TuringMachine(0, 19, {(i, 1, 2): (i + 1, 1, "S", "R") for i in range(19)})
+
+# sha256 of the repr of (rule name, steps, nodes, edges) for every rule of
+# each fixture machine's library, in library order.
+PLAN_SHA256 = {
+    "count": "63fc3c82fa8f67a6ffd91e6fe05fd3b7879f88ed0d0789eb741f5b9c32d73ad5",
+    "empty": "26b56ff6a3f63c9b50cda460361858066a3aeea3026ec994bdce331b1f38fec9",
+    "filler": "c65309e38bb45f989994e73c676a0d4ea30f768c9160d8a96145e71af047c1ca",
+    "ones": "58007e6ca72bf2847bde916e775ee9229a52ea72d7feb64359e233656294c465",
+    "stamp": "14f2fa87a2510a3cff0faf97bd379210d88d09becdd632984f734fc00ccd75a3",
+    "sweep": "0b31c1c57adf9846aa70ff566e976abb7777ae2dcd55a29e699474684753a4a9",
+}
 
 
 def _only_root(g):
@@ -148,11 +159,17 @@ class TestLibrary:
         sim = gen_sim(ZIGZAG)
         for name, rules in sim.library.items():
             for r in rules:
-                plan = edge_enumerations(r.left)
-                covered = set(r.left.roots)
-                for eids in plan.values():
-                    covered |= {r.left.edges[e][1] for e in eids}
-                assert covered == set(r.left.nodes), f"{name}/{r.name} not covered"
+                assert set(r.plan.nodes) == set(r.left.nodes), \
+                    f"{name}/{r.name} not covered"
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.tm")))
+    def test_plans_pinned(self, name):
+        """Every rule's search plan, in library order, is byte-identical to
+        the pinned one."""
+        library = gen_sim(fixture_machine(name)).library
+        text = repr([(r.name, *r.plan) for rules in library.values()
+                     for r in rules])
+        assert sha256(text.encode()).hexdigest() == PLAN_SHA256[name]
 
     def test_transition_rules_double_on_input_moves(self):
         stay = TuringMachine(0, 1, {(0, 1, 2): (1, 0, "S", "L")})
@@ -246,14 +263,14 @@ class TestContracts:
         assert dec(cfg.graph) == (s, 1)
 
     def test_restart_rebuilds_initial_encoding_one_size_up(self):
-        s = TMConfiguration(0, "10", 1, "012", 2)
+        s = TMConfiguration(0, "10", 1, "01", 2)
         sim = gen_sim(ONES)
         cfg, _ = run_program(_entry(sim, "Restart"), enc(s, 0))
         assert isinstance(cfg, Done)
         assert dec(cfg.graph) == (initial_configuration(ONES, "10"), 1)
 
     def test_restart_keeps_graphs_bounded(self):
-        s = TMConfiguration(0, "10", 1, "012", 2)
+        s = TMConfiguration(0, "10", 1, "01", 2)
         sim = gen_sim(ONES)
         interp = Interp(mode="semantic",
                         apply_hook=lambda name, g: _assert_bounded(g))

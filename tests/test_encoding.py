@@ -116,7 +116,7 @@ class TestEnc:
         assert all(dashed[v] == blocks[8] for v in blocks[1:])
 
     def test_valid_and_bounded(self):
-        g = enc(config(input="101100", work="012", work_head=2), 0)
+        g = enc(config(input="101100", work="01", work_head=2), 0)
         assert validate_host_graph(g) == []
         assert check_boundedness(g, 6, 1)
 
@@ -143,6 +143,8 @@ class TestEnc:
     def test_work_checks(self):
         with pytest.raises(OutOfRange):
             enc(config(work="013"), 0)
+        with pytest.raises(OutOfRange):
+            enc(config(work="12"), 0)
         with pytest.raises(OutOfRange):
             enc(config(work_head=-1), 0)
 

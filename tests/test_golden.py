@@ -49,6 +49,9 @@ def cases():
             for n in range(1, 7)]
     out += [(f"filler-{reps}", filler_machine(), unary(reps))
             for reps in (1, 7)]
+    # The sweep machine climbs to c=3 and c=4 and then crosses blocks leftward.
+    sweep = fixture_machine("sweep")
+    out += [(f"sweep-{n}", sweep, "0" * n + "1") for n in (20, 45)]
     rng = Random(RANDOM_SEED)
     for i in range(20):
         m, input = random_machine_pair(rng)

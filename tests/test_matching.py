@@ -1,5 +1,4 @@
-"""Morphism checks, edge enumerations, search plans, and matching vs the
-brute-force oracle."""
+"""Morphism checks, search plans, and matching vs the brute-force oracle."""
 
 import random
 
@@ -11,14 +10,13 @@ from minigp.matching import (
     NotFastRule,
     SearchPlan,
     compile_plan,
-    edge_enumerations,
     match_all,
     search_tree,
 )
 from conftest import RANDOM_SEED
 from util import (PartialMorphism, PlanMatches, check_morphism, family_hosts,
                   match_bruteforce, match_plan, morphism, random_family,
-                  random_graph, random_match_pair)
+                  random_fast_lhs, random_graph, random_match_pair)
 
 
 def two_node_graphs():
@@ -122,7 +120,7 @@ class TestExtend:
         x = G.add_node(Label(1), root=True)
         y = G.add_node(Label(1), root=True)
         G.add_edge(x, y)
-        # b is reached through a's enumeration, so it is never seeded.
+        # b is reached in a's walk, so it is never seeded.
         assert [st[0] for st in compile_plan(L).steps] == [-1, a]
         res = morphisms(L, G)
         assert [h.node_map for h in res.matches] == [{a: x, b: y}]
@@ -194,12 +192,11 @@ class TestCompilePlan:
         with pytest.raises(NotFastRule):
             compile_plan(L)
 
-
-class TestEdgeEnumerations:
     def test_single_root_no_edges(self):
         L = Graph()
         r = L.add_node(Label(0), root=True)
-        assert edge_enumerations(L) == {r: []}
+        assert compile_plan(L) == SearchPlan(
+            steps=((-1, None, -1, Label(0), True),), nodes=(r,), edges=())
 
     def test_chain(self):
         L = Graph()
@@ -208,14 +205,14 @@ class TestEdgeEnumerations:
         b = L.add_node(Label(2))
         e1 = L.add_edge(r, a)
         e2 = L.add_edge(a, b)
-        assert edge_enumerations(L) == {r: [e1, e2]}
+        assert compile_plan(L).edges == (e1, e2)
 
     def test_isolated_node_not_fast(self):
         L = Graph()
         L.add_node(Label(0), root=True)
         iso = L.add_node(Label(1))
         with pytest.raises(NotFastRule) as err:
-            edge_enumerations(L)
+            compile_plan(L)
         assert err.value.node == iso
 
     def test_incoming_only_is_unreachable(self):
@@ -223,32 +220,19 @@ class TestEdgeEnumerations:
         r = L.add_node(Label(0), root=True)
         u = L.add_node(Label(1))
         L.add_edge(u, r)
-        with pytest.raises(NotFastRule):
-            edge_enumerations(L)
-
-    def test_two_roots_shared_reach(self):
-        L = Graph()
-        r1 = L.add_node(Label(0), root=True)
-        r2 = L.add_node(Label(1), root=True)
-        x = L.add_node(Label(2))
-        y = L.add_node(Label(3))
-        e1 = L.add_edge(r1, x)
-        e2 = L.add_edge(x, y)
-        e3 = L.add_edge(r2, x)
-        enums = edge_enumerations(L)
-        assert enums == {r1: [e1, e2], r2: [e3]}
+        with pytest.raises(NotFastRule) as err:
+            compile_plan(L)
+        assert err.value.node == u
 
     def test_invariant_sources_already_introduced(self):
+        """Every edge step follows an edge out of a slot filled before it."""
         rng = random.Random(7)
         for _ in range(50):
-            from util import random_fast_lhs
-            L = random_fast_lhs(rng)
-            for root, order in edge_enumerations(L).items():
-                seen = {root}
-                for e in order:
-                    s, t, _ = L.edges[e]
-                    assert s in seen
-                    seen |= {s, t}
+            filled = 0
+            for src, _, tgt, _, _ in compile_plan(random_fast_lhs(rng)).steps:
+                assert src < filled and tgt < filled
+                if src < 0 or tgt < 0:
+                    filled += 1
 
 
 class TestMatchAll:

@@ -19,7 +19,7 @@ from minigp.graphs import EMPTY, Atom, Graph, Label, graph_space
 from minigp.lang import (Break, BudgetExceeded, Com, Done, ExecStats, Fail,
                          If, Interp, Loop, NullFailureViolation, Program,
                          RuleCall, Seq, Try)
-from minigp.matching import (NotFastRule, edge_enumerations, match_all,
+from minigp.matching import (NotFastRule, compile_plan, match_all,
                              search_tree)
 from minigp.rules import DanglingViolation, Rule, apply_ruleset
 from minigp.turing import (BLANK, TMConfiguration, TuringMachine, parse_tm,
@@ -234,7 +234,7 @@ def random_fast_lhs(rng, max_nodes=4, small=False):
         if not g.nodes:
             continue
         try:
-            edge_enumerations(g)
+            compile_plan(g)
         except NotFastRule:
             continue
         return g
