@@ -164,6 +164,21 @@ class TestCompilePlan:
                    (3, Label(6), 1, None, False)),
             nodes=(r1, x, y, r2), edges=(e1, e2, e3))
 
+    def test_second_root_reaches_only_its_own_edge(self):
+        """A node the first root already reached is not walked again from
+        the second root: only the second root's own edge follows it."""
+        L = Graph()
+        r1 = L.add_node(Label(0), root=True)
+        r2 = L.add_node(Label(1), root=True)
+        x = L.add_node(Label(2))
+        y = L.add_node(Label(3))
+        e1 = L.add_edge(r1, x)
+        e2 = L.add_edge(x, y)
+        e3 = L.add_edge(r2, x)
+        plan = compile_plan(L)
+        assert plan.nodes == (r1, x, y, r2)
+        assert plan.edges == (e1, e2, e3)
+
     def test_given_plan_is_used(self):
         """A match holds host ids in the given plan's slot order, not in
         left-side id order."""
