@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encoding import BLUE, DASHED, GREEN, GREEN_I, RED, layout
-from .graphs import EMPTY, Graph, Label
+from .encoding import BLUE, DASHED, GREEN, GREEN_I, RED, layout, layout_graph
+from .graphs import EMPTY, Atom, Graph, Label
 from .lang import Loop, Program, parse_program
 from .rules import Rule
 from .turing import TMConfiguration, TuringMachine, check_input
@@ -90,14 +90,8 @@ def initial_graph(input: str, start: int = 0) -> Graph:
     check_input(input)
     labels, edges = layout(TMConfiguration(start, input, 0, "", 0), 0)
     n = len(input)
-    g = Graph()
-    for lab in labels[:n + 1]:
-        g.add_node(lab)
-    g.set_root(0)
-    for src, tgt, lab in edges:
-        if src <= n and tgt <= n:
-            g.add_edge(src, tgt, lab)
-    return g
+    return layout_graph(labels[:n + 1],
+                        [e for e in edges if e[0] <= n and e[1] <= n])
 
 
 def _setup(start: int) -> Rule:
@@ -139,16 +133,17 @@ def gen_transitions(m: TuringMachine) -> list[Rule]:
     return rules
 
 
-def _head_step(name: str, q: int, x: int, y: int, head: Label, link: Label) -> Rule:
-    """Move the cache head edge one node along `link`, relabelling the head
-    edge from `head` back to empty."""
+def _head_step(name: str, q: int, x: Atom, y: Atom, head: Label, link: Label,
+               new: Label = EMPTY) -> Rule:
+    """Move the central edge `head` one node along `link`, from a node
+    labelled x to one labelled y, relabelling it `new`."""
     r = _RB(name)
     central = r.node(Label(q), root=True)
     k0 = r.node(Label(x))
     k1 = r.node(Label(y))
     r.ledge(central, k0, head)
     r.keep(k0, k1, link)
-    r.redge(central, k1, EMPTY)
+    r.redge(central, k1, new)
     return r.build()
 
 
@@ -161,18 +156,6 @@ def _clear_mark(name: str, q: int, x: int, head: Label) -> Rule:
     return r.build()
 
 
-def _shift_active(name: str, q: int, link: Label) -> Rule:
-    """Move the central dashed edge to the active block's neighbor."""
-    r = _RB(name)
-    central = r.node(Label(q), root=True)
-    a = r.node(EMPTY)
-    nbr = r.node(EMPTY)
-    r.ledge(central, a, DASHED)
-    r.keep(a, nbr, link)
-    r.redge(central, nbr, DASHED)
-    return r.build()
-
-
 def _relabel_root(name: str, before: Label, after: Label, *,
                   unroot: bool = False) -> Rule:
     r = _RB(name)
@@ -180,13 +163,13 @@ def _relabel_root(name: str, before: Label, after: Label, *,
     return r.build()
 
 
-def _cursor_move(name: str, before: Label, after: Label, link: Label) -> Rule:
-    """Hand a traversal root from one node to a link neighbor."""
+def _cursor_move(name: str, before: Label, target: Label, after: Label,
+                 link: Label) -> Rule:
+    """Hand a traversal root from one node to a link neighbor labelled
+    `target`, which the move relabels `after`."""
     r = _RB(name)
-    src_plain = Label(before.atom)
-    tgt_plain = Label(after.atom)
-    n = r.node(before, src_plain, root=True, right_root=False)
-    m_ = r.node(tgt_plain, after, right_root=True)
+    n = r.node(before, Label(before.atom), root=True, right_root=False)
+    m_ = r.node(target, after, right_root=True)
     r.keep(n, m_, link)
     return r.build()
 
@@ -266,14 +249,6 @@ def _rewind_blockset(start: int) -> Rule:
     r.ledge(central, active, DASHED)
     r.keep(central, b0, BLUE)
     r.redge(central, b0, DASHED)
-    return r.build()
-
-
-def _erase(x: int) -> Rule:
-    r = _RB(f"Erase_{x}")
-    n = r.node(Label(2, "red"), Label(2), root=True, right_root=False)
-    m_ = r.node(Label(x), Label(2, "red"), right_root=True)
-    r.keep(n, m_, RED)
     return r.build()
 
 
@@ -385,8 +360,10 @@ def gen_sim(m: TuringMachine) -> SimProgram:
                  for q in states for x in DIGITS],
         "Right": [_clear_mark(f"Right_{q}_{x}", q, x, MARK_R)
                   for q in states for x in DIGITS],
-        "Next": [_shift_active(f"Next_{q}", q, RED) for q in states],
-        "Prev": [_shift_active(f"Prev_{q}", q, BLUE) for q in states],
+        "Next": [_head_step(f"Next_{q}", q, None, None, DASHED, RED, DASHED)
+                 for q in states],
+        "Prev": [_head_step(f"Prev_{q}", q, None, None, DASHED, BLUE, DASHED)
+                 for q in states],
         "SetFlag": [_relabel_root(f"SetFlag_{q}", Label(q), Label(q, "grey"))
                     for q in states],
         "Flag": [_relabel_root(f"Flag_{q}", Label(q, "grey"), Label(q0))
@@ -398,8 +375,8 @@ def gen_sim(m: TuringMachine) -> SimProgram:
         "EncodeInit": [_root_at(f"EncodeInit_{q}", q, BLUE, EMPTY, BLUE_ROOT)
                        for q in states],
         "DecodeInit": [r for q in states for r in _decode_init(q)],
-        "next_value": [_cursor_move("next_value", BLUE_ROOT, BLUE_ROOT, RED)],
-        "prev_value": [_cursor_move("prev_value", BLUE_ROOT, BLUE_ROOT, BLUE)],
+        "next_value": [_cursor_move("next_value", BLUE_ROOT, EMPTY, BLUE_ROOT, RED)],
+        "prev_value": [_cursor_move("prev_value", BLUE_ROOT, EMPTY, BLUE_ROOT, BLUE)],
         "Update": [r for q in states for r in _update(q)],
         "CacheInit": [_root_at(f"CacheInit_{q}_{x}", q, RED, Label(x),
                                Label(x, "red"))
@@ -411,10 +388,10 @@ def gen_sim(m: TuringMachine) -> SimProgram:
         "underflow": [_relabel_root("underflow", Label(0, "red"), Label(2, "red"))],
         "overflow": [_relabel_root("overflow", Label(2, "red"), Label(0, "red"))],
         "CacheNext": [_cursor_move(f"CacheNext_{x}_{y}", Label(x, "red"),
-                                   Label(y, "red"), BLUE)
+                                   Label(y), Label(y, "red"), BLUE)
                       for x in DIGITS for y in DIGITS],
         "CachePrev": [_cursor_move(f"CachePrev_{x}_{y}", Label(x, "red"),
-                                   Label(y, "red"), RED)
+                                   Label(y), Label(y, "red"), RED)
                       for x in DIGITS for y in DIGITS],
         "Finish": [_relabel_root(f"Finish_{x}", Label(x, "red"), Label(x),
                                  unroot=True)
@@ -428,7 +405,9 @@ def gen_sim(m: TuringMachine) -> SimProgram:
                         for x in DIGITS for y in DIGITS],
         "CInit": [_root_at(f"CInit_{x}", q0, EMPTY, Label(x), Label(2, "red"))
                   for x in DIGITS],
-        "Erase": [_erase(x) for x in DIGITS],
+        "Erase": [_cursor_move(f"Erase_{x}", Label(2, "red"), Label(x),
+                               Label(2, "red"), RED)
+                  for x in DIGITS],
         "end": [_end(q0)],
         "binit": [_binit(q0)],
         "Undirect": _undirect(),

@@ -11,11 +11,11 @@ node carries six out-edges: green "I" to the leftmost input node, green to
 the input head, blue to the leftmost block, dashed to the active block, red
 to the rightmost cache node, and an unmarked edge to the cache head.
 
-The layout is written once, in `layout(s, k)`, and four users share it:
-`enc` builds the graph from it; `dec`, after extracting a configuration
-from the graph, checks the whole graph against the layout of that
-configuration; and the compiler's `initial_graph` and `setup` rule are the
-level-0 layout of the initial configuration, split at the INPUT section.
+The layout is written once, in `layout(s, k)`, and `layout_graph` builds
+its graphs.  `enc` is the graph of the whole layout; `dec`, after extracting
+a configuration from the graph, checks the whole graph against the layout
+of that configuration; and the compiler's `initial_graph` and `setup` rule
+are the level-0 layout of the initial configuration, split at INPUT.
 """
 
 from __future__ import annotations
@@ -137,18 +137,21 @@ def layout(s: TMConfiguration, k: int) -> tuple[list[Label], list[tuple[int, int
     return labels, edges
 
 
-def enc(s: TMConfiguration, k: int) -> Graph:
-    """Encode a configuration at level k as the graph of its `layout`:
-    node ids run central, INPUT left to right, BLOCKSET, CACHE, and edge
-    ids follow the layout's fixed order."""
-    labels, edges = layout(s, k)
+def layout_graph(labels: list[Label], edges: list[tuple[int, int, Label]]) -> Graph:
+    """The graph of a layout or a section of one, rooted at node 0: node
+    ids follow the labels and edge ids the triples."""
     g = Graph()
     for lab in labels:
         g.add_node(lab)
-    g.set_root(0)
+    g.roots.add(0)
     for src, tgt, lab in edges:
         g.add_edge(src, tgt, lab)
     return g
+
+
+def enc(s: TMConfiguration, k: int) -> Graph:
+    """Encode a configuration at level k as the graph of its `layout`."""
+    return layout_graph(*layout(s, k))
 
 
 @lru_cache(maxsize=8)

@@ -123,14 +123,6 @@ class Graph:
             self._log.append((_RELABELLED, nid, self.nodes[nid]))
         self.nodes[nid] = label
 
-    def set_root(self, nid: int, flag: bool = True) -> None:
-        if nid not in self.nodes:
-            raise InputError(f"no node {nid}")
-        if flag:
-            self.roots.add(nid)
-        else:
-            self.roots.discard(nid)
-
     def out_edges(self, nid: int) -> list[int]:
         """Outgoing edge ids of a node, ascending.  Callers must not mutate."""
         return self._out[nid]

@@ -295,16 +295,15 @@ def _check_breaks(coms: Sequence[Com], in_loop: bool) -> None:
             _check_breaks((c.body,), True)
 
 
-def parse_program(text: str, library: Mapping[str, object], entry: str = "Main") -> Program:
-    """Parse declaration lines (`Name = commands`) against a rule library.
-
-    Library values may be single rules or rule lists; a missing `skip` rule
-    (the desugaring target of absent then/else branches) is provided.
-    Procedures are inlined, so the result is recursion-free by construction.
+def parse_program(text: str, library: Mapping[str, Sequence[Rule]]) -> Program:
+    """Parse declaration lines (`Name = commands`) against a library that
+    maps each rule-set name to a sequence of rules.  The program enters at
+    `Main`, the only procedure checked for a break outside any loop, and a
+    missing `skip` rule (the desugaring target of absent then/else
+    branches) is provided.  Procedures are inlined, so the result is
+    recursion-free by construction.
     """
-    lib: dict[str, tuple[Rule, ...]] = {}
-    for name, val in library.items():
-        lib[name] = (val,) if isinstance(val, Rule) else tuple(val)
+    lib = {name: tuple(rules) for name, rules in library.items()}
     lib.setdefault("skip", (_skip_rule(),))
 
     decls: dict[str, list[str]] = {}
@@ -323,13 +322,13 @@ def parse_program(text: str, library: Mapping[str, object], entry: str = "Main")
         if name in lib:
             raise ParseError(f"line {lineno}: {name!r} shadows a library rule")
         decls[name] = _TOKEN.findall(body)
-    if entry not in decls:
-        raise ParseError(f"no declaration named {entry!r}")
+    if "Main" not in decls:
+        raise ParseError("no declaration named 'Main'")
 
     builder = _Builder(decls, lib)
     for name in decls:
         builder.procedure(name)
-    main = builder.built[entry]
+    main = builder.built["Main"]
     _check_breaks(main, False)
     return Program(main, builder.built)
 

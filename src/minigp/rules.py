@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import graphs
 from .errors import InputError, RunError
@@ -204,9 +204,6 @@ class Candidates:
 
     def __len__(self) -> int:
         return len(self.rules)
-
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self.rules)
 
 
 class RuleSet:

@@ -9,9 +9,18 @@ import pytest
 
 from minigp.harness import lockstep_verify, run_sim
 from minigp.machines import counter_machine, filler_machine
-from util import counter_input, fixture_machine, random_machine_pair, unary
+from util import (counter_input, fixture_machine, random_machine_pair,
+                  random_sweep_pair, unary)
 
 RANDOM_SEED = 20260814
+
+
+def random_sweep_cases():
+    """Seeded (label, machine, input) triples around the sweep skeleton:
+    three runs that end at c=3, then three that end at c=4."""
+    rng = Random(RANDOM_SEED)
+    return [(f"random-sweep-{i}", *random_sweep_pair(rng, c))
+            for i, c in enumerate((3, 3, 3, 4, 4, 4))]
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +36,7 @@ def verification_cases():
     for i in range(20):
         m, input = random_machine_pair(rng)
         cases.append((f"random-{i}", m, input))
-    return cases
+    return cases + random_sweep_cases()
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ from minigp.compiler import (
     DASHED,
     GREEN,
     GREEN_I,
-    LISTING,
     RED,
     gen_sim,
     gen_transitions,
@@ -20,7 +19,7 @@ from minigp.compiler import (
 from minigp.encoding import MalformedConfigGraph, dec, enc
 from minigp.errors import InputError
 from minigp.graphs import Graph, Label, to_text
-from minigp.lang import Done, If, Interp, Loop, Seq, Try, parse_program
+from minigp.lang import Done, If, Interp, Loop, Seq, Try
 from minigp.machines import counter_machine, filler_machine
 from minigp.rules import RuleSet, apply_ruleset
 from minigp.turing import (
@@ -108,7 +107,7 @@ def _cache_digits(g):
 
 
 def _entry(sim, name):
-    return parse_program(LISTING, sim.library, entry=name)
+    return Seq(sim.program.procedures[name])
 
 
 class TestInitialGraph:

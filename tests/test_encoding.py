@@ -244,9 +244,9 @@ def spoil(rng, g, kind):
     elif kind == "stray edge":
         g.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice(EDGE_LABELS))
     elif kind == "add root":
-        g.set_root(rng.choice(nodes))
+        g.roots.add(rng.choice(nodes))
     elif kind == "drop root" and g.roots:
-        g.set_root(rng.choice(sorted(g.roots)), False)
+        g.roots.discard(rng.choice(sorted(g.roots)))
 
 
 def outcome(decode, g):
@@ -316,7 +316,7 @@ class TestDecValidation:
 
     def test_extra_root(self):
         g = self.base()
-        g.set_root(1, True)
+        g.roots.add(1)
         self.expect(g, "root")
 
     def test_state_label(self):

@@ -15,6 +15,9 @@ on machines beyond the fixtures.
 The golden file is regenerated only when an output change is intended:
 
     PYTHONPATH=src python3 tests/test_golden.py --write
+
+which prints the labels it added, changed and removed against the file it
+replaces.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from random import Random
 
 import pytest
 
-from conftest import RANDOM_SEED
+from conftest import RANDOM_SEED, random_sweep_cases
 
 from minigp import graphs
 from minigp.cli import main
@@ -56,7 +59,8 @@ def cases():
     for i in range(20):
         m, input = random_machine_pair(rng)
         out.append((f"random-{i}", m, input))
-    return out
+    # Random machines around the sweep skeleton reach c=3 and c=4.
+    return out + random_sweep_cases()
 
 
 def digest(text: str) -> str:
@@ -125,6 +129,12 @@ GEN_SHA256 = {
     "random-17": "b5b4f1345e37d41a3381dbfca62cb8368d090b078febfb94f206062196bafb5e",
     "random-18": "d64b3b3953083bf53911cbd406743bad666b846ca4fe2ae23164c1d8ad37d5f2",
     "random-19": "0846d3448a3801b8cda1808110d64b8fefc0ba8f7d47f23f7d5bf4739dc17880",
+    "random-sweep-0": "27baea1bdd10e80f301414ce899dd9e451e78379227a04a041dab01f8287c011",
+    "random-sweep-1": "68addf7447edaad58ca1dfc5a4d920f26e9316ae9ca5ff8cdd048fd5e2376698",
+    "random-sweep-2": "72100e9d1083d429428ce37c0ee4102684cf124ed16d7cc23a02d1a92f81ac64",
+    "random-sweep-3": "d17934ee58affe1ef47dd9646760feccb13e9c5741252d828af0a8467ca0d0bc",
+    "random-sweep-4": "e53bb76f9bced4ac9062d13c3241e85d27b9ba8a42f81f9bea9943de50aaca54",
+    "random-sweep-5": "9c4420446d78db9ab98de5539f918e9bd4aa065540649d5d7b5b5a5f78feab86",
 }
 
 
@@ -146,11 +156,29 @@ def test_gen_pinned(tmp_path, capsys, label, m):
     assert digest(capsys.readouterr().out) == GEN_SHA256[label]
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line each for the labels new adds to old, changes and removes."""
+    groups = (("added", [k for k in new if k not in old]),
+              ("changed", [k for k in new if k in old and new[k] != old[k]]),
+              ("removed", [k for k in old if k not in new]))
+    return [f"{verb}: {' '.join(labels) or '-'}" for verb, labels in groups]
+
+
+def test_changes_names_every_label():
+    old = {"a": {"x": 1}, "b": {"x": 2}, "c": {"x": 3}}
+    new = {"a": {"x": 1}, "b": {"x": 5}, "d": {"x": 4}, "e": {"x": 6}}
+    assert changes(old, new) == ["added: d e", "changed: b", "removed: c"]
+    assert changes(old, old) == ["added: -", "changed: -", "removed: -"]
+
+
 def write() -> None:
-    """Regenerate the golden file from efficient-mode runs."""
+    """Regenerate the golden file from efficient-mode runs and print what
+    changed against the file it replaces."""
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     data = {label: observe(m, input, "efficient")
             for label, m, input in cases()}
     GOLDEN.write_text(json.dumps(data, indent=1) + "\n")
+    print("\n".join(changes(old, data)))
 
 
 if __name__ == "__main__":

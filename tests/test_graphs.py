@@ -230,7 +230,7 @@ class TestMutation:
 
     def test_restore_undoes_every_mutation(self):
         g, ids = chain(3)
-        g.set_root(ids[0])
+        g.roots.add(ids[0])
         want = g.copy()
         mark = g.mark()
         x = g.add_node(Label(4), root=True)
@@ -240,8 +240,8 @@ class TestMutation:
         e = g.out_edges(ids[0])[0]
         src, tgt, _ = g.edges[e]
         g.edges[e] = (src, tgt, Label(1))
-        g.set_root(ids[0], False)
-        g.set_root(ids[2])
+        g.roots.discard(ids[0])
+        g.roots.add(ids[2])
         assert g != want
         g.rollback(mark)
         g.release(mark)
@@ -254,7 +254,7 @@ class TestMutation:
 
     def test_rollback_undoes_every_mutation(self):
         g, ids = chain(3)
-        g.set_root(ids[0])
+        g.roots.add(ids[0])
         lone = g.add_node(Label(8), root=True)
         want = g.copy()
         with outermost(g):
@@ -400,7 +400,7 @@ class TestMutation:
 class TestText:
     def test_round_trip_bit_exact(self):
         g, ids = chain(3, Label(1))
-        g.set_root(ids[0])
+        g.roots.add(ids[0])
         g.relabel_node(ids[2], Label("I", "green"))
         g.add_edge(ids[0], ids[2], Label("L"))
         g.add_edge(ids[2], ids[2], Label(None, "dashed"))

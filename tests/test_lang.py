@@ -46,13 +46,13 @@ def node_rule(name, before, after, extra=0):
 
 
 LIB = {
-    "a": node_rule("a", 0, 1),
-    "b": node_rule("b", 1, 2),
-    "c": node_rule("c", 2, 3),
-    "back": node_rule("back", 1, 0),
-    "never": node_rule("never", 99, 99),
-    "probe": node_rule("probe", 0, 0),
-    "grow": node_rule("grow", 0, 0, extra=1),
+    "a": [node_rule("a", 0, 1)],
+    "b": [node_rule("b", 1, 2)],
+    "c": [node_rule("c", 2, 3)],
+    "back": [node_rule("back", 1, 0)],
+    "never": [node_rule("never", 99, 99)],
+    "probe": [node_rule("probe", 0, 0)],
+    "grow": [node_rule("grow", 0, 0, extra=1)],
 }
 
 
@@ -62,8 +62,8 @@ def host(label=0):
     return g
 
 
-def parse(text, entry="Main"):
-    return parse_program(text, LIB, entry=entry)
+def parse(text):
+    return parse_program(text, LIB)
 
 
 class TestParse:
@@ -173,8 +173,14 @@ class TestParse:
             parse("Main = (a; b")
 
     def test_entry_selection(self):
-        p = parse("Main = a\nAux = b", entry="Aux")
-        assert p.main[0].names == ("b",)
+        p = parse("Main = a\nAux = b")
+        assert p.main[0].names == ("a",)
+        assert p.procedures["Aux"][0].names == ("b",)
+        with pytest.raises(ParseError):
+            parse("Aux = a")
+        # Only Main is checked for a break outside any loop.
+        aux = parse("Main = a\nAux = break").procedures["Aux"]
+        assert isinstance(aux[0], Break)
 
     def test_comments_and_blanks(self):
         p = parse("# header\n\nMain = a  # trailing\n")
@@ -342,7 +348,7 @@ class TestRun:
         lv = left.add_node(Label(1))
         left.add_edge(lr, lv, Label(None))
         pick = Rule("pick", left, left.copy(), {lr: lr, lv: lv})
-        prog = parse_program("Main = pick", {"pick": pick})
+        prog = parse_program("Main = pick", {"pick": [pick]})
         cfg, stats = run_program(prog, two)
         assert isinstance(cfg, Done)
         assert stats.match_multiplicity_max == 2

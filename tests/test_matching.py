@@ -139,9 +139,9 @@ class TestExtend:
 
     def test_edge_target_reflects_roots(self):
         L, G = two_node_graphs()
-        G.set_root(1)
+        G.roots.add(1)
         assert morphisms(L, G).matches == []
-        L.set_root(1)
+        L.roots.add(1)
         assert morphisms(L, G).matches == [PartialMorphism({0: 0, 1: 1},
                                                            {0: 0})]
 

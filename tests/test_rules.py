@@ -315,10 +315,10 @@ class TestRuleSet:
                                       [None, "red"]))
             for G in hosts:
                 cands = ruleset.candidates(G)
-                assert same_rules(cands, candidates_reference(rs, G))
+                assert same_rules(cands.rules, candidates_reference(rs, G))
                 for r in rs:
                     if match_plan(r.plan, G).matches:
-                        assert any(r is c for c in cands)
+                        assert any(r is c for c in cands.rules)
                 skipped += len(rs) - len(cands)
                 want, total = _linear_scan(rs, G.copy())
                 out = apply_ruleset(G, ruleset)
@@ -349,8 +349,8 @@ class TestRuleSet:
                 G.add_node(Label(atom), root=True)
             G.add_node(Label(2))
             cands = ruleset.candidates(G)
-            assert " ".join(r.name for r in cands) == names
-            assert same_rules(cands, candidates_reference(rs, G))
+            assert " ".join(r.name for r in cands.rules) == names
+            assert same_rules(cands.rules, candidates_reference(rs, G))
             groups = groups or ruleset._groups
             assert ruleset._groups is groups
         assert sorted(i for _, at in groups for i in at) == list(range(len(rs)))
@@ -401,7 +401,7 @@ class TestRuleSet:
             out = original(rs, G)
             if len(rs._memo) > before:
                 seen["misses"] += 1
-                assert same_rules(out, candidates_reference(rs.rules, G))
+                assert same_rules(out.rules, candidates_reference(rs.rules, G))
                 assert seen["groups"].setdefault(rs, rs._groups) is rs._groups
             return out
 

@@ -86,6 +86,48 @@ def random_machine_pair(rng: Random, max_states: int = 4,
         return m, input
 
 
+def random_sweep_pair(rng: Random, c: int) -> tuple[TuringMachine, str]:
+    """A (machine, input 0^n 1) pair around the skeleton of
+    `fixtures/sweep.tm` whose simulation ends at block size c.
+
+    State 0 leaves square 0 blank.  A cycle of write states then writes
+    random digits rightward, moving the input head on some of them, until
+    it reads the input's final 1.  There a cycle of walk states turns left
+    and rewrites each digit at random down to the blank at square 0, where
+    the machine halts or, in a third phase, walks right again rewriting
+    digits up to the first blank.  Pairs are drawn until the run uses more
+    work squares than block size c-1 holds and at most 120, which keeps a
+    simulated run under a second; c is 3 or more.
+    """
+    def cycle(first, length):
+        return [(first + i, first + (i + 1) % length) for i in range(length)]
+
+    while True:
+        writes, walks = rng.randint(1, 3), rng.randint(1, 3)
+        rights = rng.choice((0, 1, 2))
+        first_walk = 1 + writes
+        first_right = first_walk + walks
+        delta = {(0, a, 2): (1, 2, "S", "R") for a in (0, 1)}
+        for i, (q, p) in enumerate(cycle(1, writes)):
+            move = "R" if i == writes - 1 else rng.choice("SR")
+            delta[(q, 0, 2)] = (p, rng.randint(0, 1), move, "R")
+            delta[(q, 1, 2)] = (first_walk, rng.randint(0, 2), "S", "L")
+        for q, p in cycle(first_walk, walks):
+            for x in (0, 1):
+                delta[(q, 1, x)] = (p, rng.randint(0, 1), "S", "L")
+            if rights:
+                delta[(q, 1, 2)] = (first_right, rng.randint(0, 2), "S", "R")
+        for q, p in cycle(first_right, rights):
+            for x in (0, 1):
+                delta[(q, 1, x)] = (p, rng.randint(0, 1), "S", "R")
+        m = TuringMachine(0, first_right + rights - 1, delta)
+        input = "0" * rng.randint(4, 60) + "1"
+        _, _, squares = tm_run(m, input, 1_000)
+        if EncodingParams(c - 3).capacity < squares <= min(
+                120, EncodingParams(c - 2).capacity):
+            return m, input
+
+
 def atom_from_text(tok: str) -> Atom:
     if tok == "_":
         return None
