@@ -178,15 +178,6 @@ def _walk_right(g: Graph, start: int, bad, what: str) -> list[int]:
         seen.add(tgt)
 
 
-def _atoms(g: Graph, vs: list[int]) -> list:
-    """The atoms of the nodes vs, None for an unlabelled node.  Only a
-    graph with an unlabelled node pays for the test of each label."""
-    try:
-        return [g.nodes[v].atom for v in vs]
-    except AttributeError:
-        return [lab and lab.atom for lab in map(g.nodes.__getitem__, vs)]
-
-
 def dec(g: Graph) -> tuple[TMConfiguration, int]:
     """Decode and fully validate a configuration graph.
 
@@ -202,7 +193,7 @@ def dec(g: Graph) -> tuple[TMConfiguration, int]:
     if len(g.roots) != 1:
         bad(f"expected exactly one root, found {len(g.roots)}")
     central = next(iter(g.roots))
-    (state,) = _atoms(g, [central])
+    state = getattr(g.nodes[central], "atom", None)
     if not isinstance(state, int):
         bad(f"central label {g.nodes[central]} is not a state")
 
@@ -226,14 +217,15 @@ def dec(g: Graph) -> tuple[TMConfiguration, int]:
     if len(cache) != 1:
         bad("central red edge does not target the rightmost cache node")
     blues = [e for e in g.out_edges(cache_right) if g.edges[e][2] == BLUE]
-    cache = [cache_right]
+    cache, seen = [cache_right], {cache_right}
     while blues:
         if len(blues) > 1:
             bad(f"CACHE: node {cache[0]} has several blue out-edges")
         tgt = g.edges[blues[0]][1]
-        if tgt in cache:
+        if tgt in seen:
             bad("CACHE: blue edges form a cycle")
         cache.insert(0, tgt)
+        seen.add(tgt)
         blues = [e for e in g.out_edges(tgt) if g.edges[e][2] == BLUE]
 
     c, b, n = len(cache), len(blocks), len(inp)
@@ -249,27 +241,28 @@ def dec(g: Graph) -> tuple[TMConfiguration, int]:
     if to_ref.keys() != g.nodes.keys():
         bad(f"{len(g.nodes) - len(sections)} nodes outside the schema sections")
 
-    bits = _atoms(g, inp)
+    first_block, first_cache = n + 1, n + 1 + b
+    found = [g.nodes[v] for v in sections]
+    bits = [lab and lab.atom for lab in found[1:first_block]]
     if any(x not in (0, 1) for x in bits):
         bad("input node labelled outside {0,1}")
-    if targets[GREEN] not in inp:
+    input_head = to_ref[targets[GREEN]] - 1
+    if not 0 <= input_head < n:
         bad("input head edge targets a non-input node")
-    input_head = inp.index(targets[GREEN])
 
-    if targets[DASHED] not in blocks:
+    active = to_ref[targets[DASHED]] - first_block
+    if not 0 <= active < b:
         bad("active block edge targets a non-block node")
-    active = blocks.index(targets[DASHED])
 
-    digits = _atoms(g, cache)
+    digits = [lab and lab.atom for lab in found[first_cache:]]
     if any(d not in (0, 1, 2) for d in digits):
         bad("cache node labelled outside {0,1,2}")
-    if targets[EMPTY] not in cache:
+    offset = to_ref[targets[EMPTY]] - first_cache
+    if not 0 <= offset < c:
         bad("cache head edge targets a non-cache node")
-    offset = cache.index(targets[EMPTY])
 
     contents = []
     block_strings = _digit_strings(c)
-    block_index = dict(zip(blocks, range(b)))
     for i, v in enumerate(blocks):
         if i == active:
             contents.append("".join(str(d) for d in digits))
@@ -277,17 +270,16 @@ def dec(g: Graph) -> tuple[TMConfiguration, int]:
         dashed = [e for e in g.out_edges(v) if g.edges[e][2] == DASHED]
         if len(dashed) != 1:
             bad(f"block node {v} has {len(dashed)} dashed out-edges")
-        tgt = g.edges[dashed[0]][1]
-        if tgt not in block_index:
+        j = to_ref[g.edges[dashed[0]][1]] - first_block
+        if not 0 <= j < b:
             bad(f"block node {v} points outside the blockset")
-        contents.append(block_strings[block_index[tgt]])
+        contents.append(block_strings[j])
 
     work = "".join(contents).rstrip(str(BLANK))
     s = TMConfiguration(state, "".join(str(x) for x in bits), input_head,
                         work, active * c + offset)
 
     labels, edges = layout(s, k)
-    found = [g.nodes[v] for v in sections]
     if found != labels:
         i = next(i for i, lab in enumerate(found) if lab != labels[i])
         bad(f"node {sections[i]} labelled {found[i]}, schema wants {labels[i]}")

@@ -204,6 +204,12 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
     except NullFailureViolation as e:
         report.null_failure_ok = False
         report.errors.append(f"null failure: {e}")
+        # A machine fault in the next step also ends the simulator's loop
+        # body in failure; name the fault, as semantic mode does.
+        try:
+            tm_step(m, oracle)
+        except RunError as fault:
+            report.errors.append(f"{type(fault).__name__}: {fault}")
     except RunError as e:
         report.errors.append(f"{type(e).__name__}: {e}")
     report.restarts = interp.stats.restarts

@@ -18,7 +18,7 @@ from util import (bench_host, block_content, match_bruteforce, match_plan,
                   morphism, random_match_pair, run_program)
 
 from minigp.compiler import gen_sim
-from minigp.encoding import EncodingParams, content_digits, enc
+from minigp.encoding import EncodingParams, content_digits, dec, enc
 from minigp.graphs import Graph, Label, graph_space
 from minigp.harness import run_sim
 from minigp.lang import Done, Fail, parse_program
@@ -148,6 +148,31 @@ def test_application_cost_size_independent():
     assert degrees[-1] > 1_000 * degrees[0]
     assert max(times) < 3 * min(times), f"spread {times}"
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_dec_cost_per_item_level_independent():
+    """dec reads every node and edge of a configuration graph a bounded
+    number of times, so its time per graph item is the same at every
+    level k, from 9 blocks to 729.  Block i holds content i, so the
+    dashed edges reach every block."""
+    t0 = time.perf_counter()
+    per_item = []
+    for k in range(5):
+        p = EncodingParams(k)
+        work = "".join(str(d) for v in range(p.b) for d in content_digits(v, p.c))
+        s = TMConfiguration(0, "1" + "0" * 19, 0, work.rstrip("2"), p.capacity - 1)
+        g = enc(s, k)
+        assert dec(g) == (s, k)
+        calls = max(1, 6_000 // graph_space(g))
+        best = math.inf
+        for _ in range(20):
+            t1 = time.perf_counter()
+            for _ in range(calls):
+                dec(g)
+            best = min(best, time.perf_counter() - t1)
+        per_item.append(best / calls / graph_space(g))
+    assert max(per_item) < 3 * min(per_item), f"spread {per_item}"
+    assert time.perf_counter() - t0 < 30.0
 
 
 def test_lockstep_zero_divergence(verify_reports):

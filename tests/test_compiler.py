@@ -19,7 +19,8 @@ from minigp.compiler import (
 from minigp.encoding import MalformedConfigGraph, dec, enc
 from minigp.errors import InputError
 from minigp.graphs import Graph, Label, to_text
-from minigp.lang import Done, If, Interp, Loop, Seq, Try
+from minigp.lang import (Done, If, Interp, Loop, NullFailureViolation, Seq,
+                         Try)
 from minigp.machines import counter_machine, filler_machine
 from minigp.rules import RuleSet, apply_ruleset
 from minigp.turing import (
@@ -29,9 +30,9 @@ from minigp.turing import (
     tm_run,
 )
 from conftest import RANDOM_SEED
-from util import (FIXTURES, StepInterp, analysis, check_boundedness,
-                  counter_input, fixture_machine, random_machine_pair,
-                  run_program, unary)
+from util import (FIXTURES, UNDERFLOW, StepInterp, analysis,
+                  check_boundedness, counter_input, fixture_machine,
+                  random_machine_pair, run_program, unary)
 
 EMPTY_M = TuringMachine(0, 0, {})
 ONES = TuringMachine(0, 1, {
@@ -503,23 +504,37 @@ def observe(interp_class, program, m, inp, mode):
     return to_text(cfg.graph), counters, hooks
 
 
-@pytest.mark.parametrize("name, inp, mode", [
-    ("stamp", unary(2), "semantic"),
-    ("stamp", unary(2), "efficient"),
-    ("count", counter_input(3), "semantic"),
-    ("count", counter_input(3), "efficient"),
-    ("filler", unary(1), "semantic"),
-    ("filler", unary(1), "efficient"),
-    ("filler", unary(4), "efficient"),
+@pytest.mark.parametrize("m, inp, mode", [
+    *(pytest.param(fixture_machine(name), inp, mode, id=f"{name}-{inp}-{mode}")
+      for name, inp, mode in [
+          ("stamp", unary(2), "semantic"),
+          ("stamp", unary(2), "efficient"),
+          ("count", counter_input(3), "semantic"),
+          ("count", counter_input(3), "efficient"),
+          ("filler", unary(1), "semantic"),
+          ("filler", unary(1), "efficient"),
+          ("filler", unary(4), "efficient"),
+      ]),
+    # Its Simulate! body fails after rewriting the host, so the final graph
+    # shows whether Interp rolled back to the save at that loop.
+    pytest.param(UNDERFLOW, "1", "semantic", id="underflow-1-semantic"),
 ])
-def test_generated_program_follows_the_step_relation(name, inp, mode):
+def test_generated_program_follows_the_step_relation(m, inp, mode):
     """Interp runs the generated program as the small-step relation does.
     StepInterp saves the host at every condition and loop body in semantic
     mode and checks every discarded run in efficient mode, whatever the
     site's snapshot choice, so this checks those choices, the journal and
     the closures on the real program."""
-    m = fixture_machine(name)
     program = gen_sim(m).program
     got = observe(Interp, program, m, inp, mode)
     assert got == observe(StepInterp, program, m, inp, mode)
     assert got[1]["rule_calls"] > 0 and got[2]
+
+
+@pytest.mark.parametrize("interp_class", [Interp, StepInterp])
+def test_failed_simulate_body_is_a_null_failure(interp_class):
+    """In efficient mode the failed Simulate! body of UNDERFLOW, which
+    mutated the host, raises in both interpreters."""
+    program = gen_sim(UNDERFLOW).program
+    with pytest.raises(NullFailureViolation, match="failing loop body"):
+        interp_class(mode="efficient").run(program, initial_graph("1", UNDERFLOW.start))

@@ -12,6 +12,10 @@ from collections import Counter
 import pytest
 
 from minigp.encoding import (
+    BLUE,
+    DASHED,
+    GREEN,
+    RED,
     CapacityExceeded,
     EncodingParams,
     MalformedConfigGraph,
@@ -21,7 +25,7 @@ from minigp.encoding import (
     enc,
     layout,
 )
-from minigp.graphs import Label, graph_space, to_text
+from minigp.graphs import EMPTY, Label, graph_space, to_text
 from minigp.turing import TMConfiguration
 from util import (LengthMismatch, block_content, check_boundedness,
                   dec_reference, enc_reference, min_k, validate_host_graph)
@@ -384,6 +388,52 @@ class TestDecValidation:
         g = self.base()
         self.duplicate(g, 2, Label(None, "blue"))
         self.expect(g, "edge structure")
+
+    # Node ids of base(): central 0, INPUT 1-4, BLOCKSET 5-13 with the
+    # active block 6, CACHE 14-15 with the head at 15.
+    @pytest.mark.parametrize("src, lab, tgt, fragment", [
+        (0, GREEN, 0, "input head edge targets a non-input node"),
+        (0, GREEN, 5, "input head edge targets a non-input node"),
+        (0, DASHED, 4, "active block edge targets a non-block node"),
+        (0, DASHED, 14, "active block edge targets a non-block node"),
+        (0, EMPTY, 0, "cache head edge targets a non-cache node"),
+        (0, EMPTY, 13, "cache head edge targets a non-cache node"),
+        (5, DASHED, 4, "block node 5 points outside the blockset"),
+        (5, DASHED, 14, "block node 5 points outside the blockset"),
+    ])
+    def test_target_outside_its_section(self, src, lab, tgt, fragment):
+        """A head or dashed edge that leaves its section for the node
+        just before it or just after it; no node follows CACHE, so its
+        other case targets the central node."""
+        g = self.base()
+        e = next(e for e in g.out_edges(src) if g.edges[e][2] == lab)
+        g.remove_edge(e)
+        g.add_edge(src, tgt, lab)
+        self.expect(g, fragment)
+        assert outcome(dec, g) == outcome(dec_reference, g)
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_block_dashed_count(self, count):
+        g = self.base()
+        e = next(e for e in g.out_edges(7) if g.edges[e][2] == DASHED)
+        if count:
+            g.add_edge(*g.edges[e])
+        else:
+            g.remove_edge(e)
+        self.expect(g, f"block node 7 has {count} dashed out-edges")
+        assert outcome(dec, g) == outcome(dec_reference, g)
+
+    @pytest.mark.parametrize("src, tgt, lab, fragment", [
+        (4, 1, RED, "INPUT: red edges form a cycle at node 1"),
+        (14, 15, BLUE, "CACHE: blue edges form a cycle"),
+    ])
+    def test_section_cycle(self, src, tgt, lab, fragment):
+        """A red edge back to the first input node, and a blue edge from
+        the leftmost cache node back to the rightmost."""
+        g = self.base()
+        g.add_edge(src, tgt, lab)
+        self.expect(g, fragment)
+        assert outcome(dec, g) == outcome(dec_reference, g)
 
     def test_stray_node(self):
         g = self.base()

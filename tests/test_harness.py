@@ -42,7 +42,7 @@ from minigp.turing import (
     initial_configuration,
     tm_run,
 )
-from util import (bench_host, counter_input, fixture_machine,
+from util import (UNDERFLOW, bench_host, counter_input, fixture_machine,
                   random_machine_pair, unary)
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minigp"
@@ -112,6 +112,16 @@ class TestLockstep:
         report = lockstep_verify(counter_machine(), "00")
         assert not report.ok
         assert report.errors
+
+    @pytest.mark.parametrize("mode", ["semantic", "efficient"])
+    def test_machine_fault_is_named_in_both_modes(self, mode):
+        """The work head leaves the tape inside the Simulate! body, which
+        efficient mode reports as a null failure; both modes name the
+        machine's fault, as `minigp run` does."""
+        report = lockstep_verify(UNDERFLOW, "1", mode=mode)
+        assert "HeadUnderflow: work head left of 0 in state 0" in report.errors
+        assert report.null_failure_ok == (mode == "semantic")
+        assert report.steps_checked == 0 and not report.ok
 
     def test_budget_becomes_report_entry(self):
         report = lockstep_verify(STAMP, unary(3), max_rule_calls=20)

@@ -40,6 +40,11 @@ def fixture_machine(name):
     return parse_tm((FIXTURES / f"{name}.tm").read_text())
 
 
+# Moves its work head left of square 0 on input 1, after the simulator's
+# Simulate! body has begun to rewrite the host for that step.
+UNDERFLOW = TuringMachine(0, 1, {(0, 1, 2): (1, 1, "S", "L")})
+
+
 def unary(n: int) -> str:
     if n < 1:
         raise InputError("unary arguments start at 1")
