@@ -24,11 +24,6 @@ from .rules import rules_to_text
 from .turing import (TMConfiguration, TuringMachine, check_input, parse_tm,
                      tm_run)
 
-REPAIR_NOTE = ("# The restart check sits inside the outer loop so a flagged"
-               " pass retries\n# the whole simulation at the next capacity;"
-               " an unflagged pass ends the run.")
-
-
 def _load(path: str) -> TuringMachine:
     return parse_tm(Path(path).read_text())
 
@@ -92,10 +87,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     sim = gen_sim(_load(args.tm_file))
-    print(LISTING.rstrip("\n"))
-    print()
-    print(REPAIR_NOTE)
-    print()
+    print(LISTING)
     print(rules_to_text([r for rules in sim.library.values() for r in rules])
           .rstrip("\n"))
     return 0

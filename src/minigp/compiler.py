@@ -43,6 +43,9 @@ Restart = RewindTapes; ResetCache; ResetBlockset
 RewindTapes = try RewindInput; try rewind_blockset; RewindCache!
 ResetCache = CInit; Erase!; end
 ResetBlockset = binit; try Undirect; (copy; try Undirect)!; glue; direct!; unroot
+
+# The restart check sits inside the outer loop so a flagged pass retries
+# the whole simulation at the next capacity; an unflagged pass ends the run.
 """
 
 

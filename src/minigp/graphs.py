@@ -1,8 +1,8 @@
 """Labelled rooted directed graphs with parallel edges and loops, and
 `to_text`, the one serialization (the CLI writes graphs; nothing in the
 package reads them back).  A graph indexes only its out-edges, so an edge
-update touches just its source's out-list; `in_edges` scans every edge,
-and only node deletion reads it."""
+update touches just its source's out-list; node deletion, which no
+generated rule makes, scans every edge for an in-edge."""
 
 from __future__ import annotations
 
@@ -108,7 +108,7 @@ class Graph:
             self._log.append((_REMOVED_EDGE, eid, edge))
 
     def remove_node(self, nid: int) -> None:
-        if self._out[nid] or self.in_edges(nid):
+        if self._out[nid] or any(tgt == nid for _, tgt, _ in self.edges.values()):
             raise InputError(f"node {nid} still has incident edges")
         label = self.nodes.pop(nid)
         del self._out[nid]
@@ -126,11 +126,6 @@ class Graph:
     def out_edges(self, nid: int) -> list[int]:
         """Outgoing edge ids of a node, ascending.  Callers must not mutate."""
         return self._out[nid]
-
-    def in_edges(self, nid: int) -> list[int]:
-        """Incoming edge ids of a node, ascending: a scan of every edge,
-        sorted because a rolled-back edge re-enters `edges` at its end."""
-        return sorted(e for e, (_, tgt, _) in self.edges.items() if tgt == nid)
 
     def copy(self) -> Graph:
         g = Graph.__new__(Graph)

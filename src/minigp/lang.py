@@ -1,24 +1,24 @@
 """Programs built from rule-set calls: parser, procedure inlining, and an
 evaluator that builds each program into closures once per run.
 
-Commands are rule-set calls, sequencing, if/try branching, as-long-as-
-possible loops (`!`), grouping, and break.  At the start of a run every
-distinct command becomes one closure from the host graph to a status, with
-the mode and each site's choices read then; the run calls the entry
-command's closure, which rewrites the one host graph in place.  Conditions
-and loop bodies are critical subprograms, whose result a construct may
-discard.  The pass that builds the closures also derives each command's
-effects from its parts, and from them whether a discarded run at each
-critical site could have changed the host.  Semantic mode saves the host
-only before such a run, with `Graph.mark`, and rolls back to the mark
-when the result is discarded;
-the graph copies itself at the outermost open save and journals the
-saves nested in it, so only the outermost save costs a copy.  Efficient
-mode saves nothing and, at those same sites, insists a save would have
-been pointless (no mutation on any path whose result gets discarded).
-At every other site both modes run the subprogram bare.  Peak graph
-space is noted only after rules that can raise it (the cached
-`Rule.may_grow` attribute).
+Commands are rule-set calls, each naming one library entry (a sequence of
+rules), sequencing, if/try branching, as-long-as-possible loops (`!`),
+grouping, and break.  `Interp.run` takes a parsed `Program`.  At the start
+of a run every distinct command becomes one closure from the host graph to
+a status, with the mode and each site's choices read then; the run calls
+the entry command's closure, which rewrites the one host graph in place.
+Conditions and loop bodies are critical subprograms, whose result a
+construct may discard.  The pass that builds the closures also derives
+each command's effects from its parts, and from them whether a discarded
+run at each critical site could have changed the host.  Semantic mode
+saves the host only before such a run, with `Graph.mark`, and rolls back
+to the mark when the result is discarded; the graph copies itself at the
+outermost open save and journals the saves nested in it, so only the
+outermost save costs a copy.  Efficient mode saves nothing and, at those
+same sites, insists a save would have been pointless (no mutation on any
+path whose result gets discarded).  At every other site both modes run the
+subprogram bare.  Peak graph space is noted only after rules that can
+raise it (the cached `Rule.may_grow` attribute).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class Com:
 
 @dataclass(eq=False, frozen=True)
 class RuleCall(Com):
-    names: tuple[str, ...]
+    name: str
     rules: RuleSet = field(repr=False)
 
 
@@ -141,7 +141,7 @@ class ExecStats:
 
 _KEYWORDS = frozenset({"if", "then", "else", "try", "break"})
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(){};,!]|\S")
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[();!]|\S")
 
 
 def _skip_rule() -> Rule:
@@ -156,7 +156,7 @@ class _Builder:
         self.library = library
         self.built: dict[str, tuple[Com, ...]] = {}
         self.stack: list[str] = []
-        self._sets: dict[tuple[str, ...], RuleSet] = {}
+        self._sets: dict[str, RuleSet] = {}
 
     def procedure(self, name: str) -> tuple[Com, ...]:
         if name in self.built:
@@ -169,15 +169,11 @@ class _Builder:
         self.built[name] = body
         return body
 
-    def rule_call(self, names: Sequence[str]) -> RuleCall:
-        key = tuple(names)
-        rs = self._sets.get(key)
+    def rule_call(self, name: str) -> RuleCall:
+        rs = self._sets.get(name)
         if rs is None:
-            pool: list[Rule] = []
-            for n in key:
-                pool.extend(self.library[n])
-            rs = self._sets[key] = RuleSet(pool)
-        return RuleCall(key, rs)
+            rs = self._sets[name] = RuleSet(self.library[name])
+        return RuleCall(name, rs)
 
 
 class _Parser:
@@ -222,14 +218,8 @@ class _Parser:
             c = Loop(c)
         return c
 
-    def ident(self) -> str:
-        t = self.take()
-        if not _IDENT.fullmatch(t) or t in _KEYWORDS:
-            raise ParseError(f"{self.where}: expected a name, got {t!r}")
-        return t
-
     def skip_call(self) -> Com:
-        return self.b.rule_call(("skip",))
+        return self.b.rule_call("skip")
 
     def primary(self) -> Com:
         t = self.take()
@@ -237,18 +227,6 @@ class _Parser:
             parts = self.seq()
             self.expect(")")
             return parts[0] if len(parts) == 1 else Seq(tuple(parts))
-        if t == "{":
-            names = [self.ident()]
-            while self.peek() == ",":
-                self.take()
-                names.append(self.ident())
-            self.expect("}")
-            for n in names:
-                if n in self.b.decls:
-                    raise ParseError(f"{self.where}: procedure {n!r} in a rule set")
-                if n not in self.b.library:
-                    raise UnknownRule(n)
-            return self.b.rule_call(names)
         if t == "if":
             cond = self.com()
             self.expect("then")
@@ -276,7 +254,7 @@ class _Parser:
                 body = self.b.procedure(t)
                 return body[0] if len(body) == 1 else Seq(body)
             if t in self.b.library:
-                return self.b.rule_call((t,))
+                return self.b.rule_call(t)
             raise UnknownRule(t)
         raise ParseError(f"{self.where}: unexpected {t!r}")
 
@@ -369,12 +347,11 @@ class Interp:
         self.apply_hook = apply_hook
         self.stats = ExecStats()
 
-    def run(self, program: Union[Program, Com], g0: Graph) -> ExecConfiguration:
+    def run(self, program: Program, g0: Graph) -> ExecConfiguration:
         """Run to a terminal configuration, rewriting g0 in place; a Done
         carries g0 itself."""
-        coms = program.main if isinstance(program, Program) else (program,)
         self._note(g0)
-        status = self._build(Seq(coms), {})[0](g0)
+        status = self._build(Seq(program.main), {})[0](g0)
         if status is _BREAK:
             raise RunError("break escaped the program")
         return Done(g0) if status is _OK else Fail()

@@ -15,7 +15,7 @@ from random import Random
 
 from conftest import RANDOM_SEED
 from util import (bench_host, block_content, match_bruteforce, match_plan,
-                  morphism, random_match_pair, run_program)
+                  morphism, random_match_pair, run_program, unary)
 
 from minigp.compiler import gen_sim
 from minigp.encoding import EncodingParams, content_digits, dec, enc
@@ -202,12 +202,15 @@ def test_runtime_assertions_and_mode_agreement(verification_cases,
 
 
 def test_space_compression_invariants(filler_metrics):
-    """Peak graph space stays within 8x the block count and restarts are
+    """Peak graph space is the graph space of the final level's encoding,
+    1 + 3n + 4b + 3c, so within 8x the block count b, and restarts are
     exactly the capacity raises, which each run forced."""
     metrics, elapsed = filler_metrics
     for reps, mx in metrics.items():
         assert mx.final_b == 3 ** mx.final_c, reps
         assert mx.restarts == mx.final_c - 2, reps
+        assert mx.peak_graph_space == (1 + 3 * len(unary(reps)) + 4 * mx.final_b
+                                       + 3 * mx.final_c), reps
         assert mx.peak_graph_space <= 8 * mx.final_b, reps
         if mx.restarts >= 1:
             assert (mx.final_c - 1) * mx.final_b // 3 < mx.tape_squares_used

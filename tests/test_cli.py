@@ -207,6 +207,8 @@ class TestErrors:
         (["exec", "{fix}/count.tm", "--input", "00"], False, 1, "input head"),
         (["run", "{fix}/stamp.tm", "--input", "0", "--max-rule-calls", "10"],
          False, 1, "budget 10"),
+        (["run", "{fix}/stamp.tm", "--input", "0", "--max-rule-calls", "0"],
+         False, 1, "budget 0"),
         (["run", "{fix}/stamp.tm", "--input", "0"], True, 1, "patched dec"),
         (["run", "{fix}/stamp.tm", "--input", "0", "--trace"], True, 1,
          "patched dec"),
@@ -221,7 +223,8 @@ class TestErrors:
         (["verify", "{fix}/stamp.tm", "--input", "10", "--max-steps", "-2"],
          False, 2, "step budget"),
     ], ids=["missing-file", "not-utf8", "bad-header", "repeated-header",
-            "bad-input", "input-overflow", "rule-budget", "run-undecodable",
+            "bad-input", "input-overflow", "rule-budget", "zero-rule-budget",
+            "run-undecodable",
             "trace-undecodable", "verify-undecodable", "verify-clean",
             "exec-negative-steps", "run-negative-steps",
             "run-negative-rule-calls", "verify-negative-steps"])

@@ -19,8 +19,8 @@ from minigp.compiler import (
 from minigp.encoding import MalformedConfigGraph, dec, enc
 from minigp.errors import InputError
 from minigp.graphs import Graph, Label, to_text
-from minigp.lang import (Done, If, Interp, Loop, NullFailureViolation, Seq,
-                         Try)
+from minigp.lang import (Done, If, Interp, Loop, NullFailureViolation,
+                         Program, Seq, Try)
 from minigp.machines import counter_machine, filler_machine
 from minigp.rules import RuleSet, apply_ruleset
 from minigp.turing import (
@@ -108,7 +108,7 @@ def _cache_digits(g):
 
 
 def _entry(sim, name):
-    return Seq(sim.program.procedures[name])
+    return Program(sim.program.procedures[name], {})
 
 
 class TestInitialGraph:
@@ -187,8 +187,8 @@ class TestLibrary:
 
     def test_no_rule_deletes_nodes(self):
         """No rule of the fixture machines or the 20 golden random machines
-        deletes a node, so no run reaches `rules.dangling_ok` or
-        `Graph.in_edges`, each a scan of every host edge."""
+        deletes a node, so no run reaches `rules.dangling_ok` or the scan
+        of every host edge in `Graph.remove_node`."""
         rng = Random(RANDOM_SEED)
         machines = [ZIGZAG] + [fixture_machine(f.stem)
                                for f in sorted(FIXTURES.glob("*.tm"))]
@@ -383,6 +383,11 @@ SITE_SNAPSHOTS = [
     ("Loop", False), ("Loop", False), ("Try", False), ("Loop", False),
     ("Try", False), ("Loop", False),
 ]
+
+
+def test_benchmark_machines_equal_their_fixtures():
+    assert filler_machine() == fixture_machine("filler")
+    assert counter_machine() == fixture_machine("count")
 
 
 class TestBacktracking:

@@ -7,6 +7,8 @@ decoded configuration stream: one line per completed step, replays after a
 restart included.  Every case runs in efficient mode; cases that take
 under a second in semantic mode run there too.  Any change to matching,
 application or the interpreter must leave all of them bit-identical.
+Each case also checks that its peak graph space is exactly the graph
+space of the encoding at its final level.
 
 The `minigp gen` text of each random machine is pinned as well, so a
 change to the compiler must leave the generated program byte-identical
@@ -34,7 +36,7 @@ from conftest import RANDOM_SEED, random_sweep_cases
 
 from minigp import graphs
 from minigp.cli import main
-from minigp.harness import run_sim
+from minigp.harness import Metrics, run_sim
 from minigp.machines import counter_machine, filler_machine
 from util import counter_input, fixture_machine, random_machine_pair, unary
 
@@ -67,8 +69,8 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def observe(m, input: str, mode: str) -> dict:
-    """The pinned outputs of one simulator run."""
+def observe(m, input: str, mode: str) -> tuple[dict, Metrics]:
+    """The pinned outputs of one simulator run, and its metrics."""
     steps = []
     mx, _, final = run_sim(m, input, mode=mode,
                            trace=lambda i, s: steps.append(f"{i} {s!r}\n"))
@@ -80,7 +82,7 @@ def observe(m, input: str, mode: str) -> dict:
         "peak_graph_space": mx.peak_graph_space,
         "graph_sha256": digest(graphs.to_text(final)),
         "decoded_sha256": digest("".join(steps)),
-    }
+    }, mx
 
 
 def _params():
@@ -100,7 +102,12 @@ def golden() -> dict:
 
 @pytest.mark.parametrize("label, m, input, mode", _params())
 def test_golden_metrics(golden, label, m, input, mode):
-    assert observe(m, input, mode) == golden[label]
+    pins, mx = observe(m, input, mode)
+    assert pins == golden[label]
+    # The paper's space premise, exactly: no graph of the run is larger than
+    # the encoding of its final level c, of graph space 1 + 3n + 4*3^c + 3c.
+    c = mx.final_c
+    assert mx.peak_graph_space == 1 + 3 * len(input) + 4 * 3 ** c + 3 * c
 
 
 def test_golden_covers_every_case(golden):
@@ -175,7 +182,7 @@ def write() -> None:
     """Regenerate the golden file from efficient-mode runs and print what
     changed against the file it replaces."""
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    data = {label: observe(m, input, "efficient")
+    data = {label: observe(m, input, "efficient")[0]
             for label, m, input in cases()}
     GOLDEN.write_text(json.dumps(data, indent=1) + "\n")
     print("\n".join(changes(old, data)))

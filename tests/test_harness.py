@@ -459,6 +459,29 @@ class TestMachines:
                               (0, 0, 2): (1, 1, "S", "S")}
 
 
+def _uses(node) -> Counter:
+    """How often node reads each name, bare or as an attribute."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+    return found
+
+
+def _package_uses() -> tuple[dict[str, ast.Module], Counter, set[str]]:
+    """The package's module trees by file name, the names read anywhere in
+    them, and the words of the benchmark's code (not its comments)."""
+    tokens = tokenize.generate_tokens(io.StringIO(BENCHMARK.read_text()).readline)
+    benchmark = {word for tok in tokens
+                 if tok.type in (tokenize.NAME, tokenize.STRING)
+                 for word in re.findall(r"\w+", tok.string)}
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    return trees, sum(map(_uses, trees.values()), Counter()), benchmark
+
+
 class TestTypedFailures:
     def test_package_has_no_assert_statements(self):
         """python -O strips asserts, so no check may be one."""
@@ -490,22 +513,7 @@ class TestTypedFailures:
         """Every module-level function, class and constant of the package
         is used elsewhere in the package; only names the benchmark's code
         (not its comments) uses may serve tests and the benchmark alone."""
-        def uses(node):
-            found = Counter()
-            for n in ast.walk(node):
-                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
-                    found[n.id] += 1
-                elif isinstance(n, ast.Attribute):
-                    found[n.attr] += 1
-            return found
-
-        tokens = tokenize.generate_tokens(io.StringIO(BENCHMARK.read_text()).readline)
-        benchmark = {word for tok in tokens
-                     if tok.type in (tokenize.NAME, tokenize.STRING)
-                     for word in re.findall(r"\w+", tok.string)}
-        trees = {path.name: ast.parse(path.read_text(), filename=str(path))
-                 for path in sorted(PACKAGE.glob("*.py"))}
-        used = sum((uses(tree) for tree in trees.values()), Counter())
+        trees, used, benchmark = _package_uses()
         unused = []
         for fname, tree in trees.items():
             for node in tree.body:
@@ -518,11 +526,23 @@ class TestTypedFailures:
                              if isinstance(n, ast.Name)]
                 else:
                     continue
-                own = uses(node)
+                own = _uses(node)
                 unused += [f"{fname}:{name}" for name in names
                            if not name.startswith("__")
                            and name not in benchmark
                            and used[name] == own[name]]
+        assert unused == []
+
+    def test_package_methods_have_package_callers(self):
+        """Every public method and property of a package class is used in
+        the package outside its own definition, or by the benchmark's code."""
+        trees, used, benchmark = _package_uses()
+        unused = [f"{fname}:{cls.name}.{fn.name}"
+                  for fname, tree in trees.items()
+                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                  and not fn.name.startswith("_") and fn.name not in benchmark
+                  and used[fn.name] == _uses(fn)[fn.name]]
         assert unused == []
 
     def test_one_error_hierarchy(self):

@@ -22,6 +22,7 @@ from minigp.lang import (
     Loop,
     NullFailureViolation,
     ParseError,
+    Program,
     RecursiveProcedure,
     RuleCall,
     Seq,
@@ -54,6 +55,11 @@ LIB = {
     "probe": [node_rule("probe", 0, 0)],
     "grow": [node_rule("grow", 0, 0, extra=1)],
 }
+NAMES = sorted(LIB) + ["skip"]
+SKIP = [Rule("skip", Graph(), Graph(), {})]
+# A two-rule entry `x_y` for every ordered pair of names.
+LIB.update({f"{x}_{y}": LIB.get(x, SKIP) + LIB.get(y, SKIP)
+            for x in NAMES for y in NAMES if x != y})
 
 
 def host(label=0):
@@ -72,18 +78,18 @@ class TestParse:
         (loop,) = p.main
         assert isinstance(loop, Loop)
         assert isinstance(loop.body, RuleCall)
-        assert loop.body.names == ("a",)
+        assert loop.body.name == "a"
 
     def test_set_call_and_try(self):
-        p = parse("Main = {a,b}; try c then a else b")
+        p = parse("Main = a_b; try c then a else b")
         call, tr = p.main
         assert isinstance(call, RuleCall)
-        assert call.names == ("a", "b")
-        assert len(call.rules.rules) == 2
+        assert call.name == "a_b"
+        assert [r.name for r in call.rules.rules] == ["a", "b"]
         assert isinstance(tr, Try)
-        assert tr.cond.names == ("c",)
-        assert tr.then.names == ("a",)
-        assert tr.els.names == ("b",)
+        assert tr.cond.name == "c"
+        assert tr.then.name == "a"
+        assert tr.els.name == "b"
 
     def test_loop_binds_tighter_than_seq(self):
         p = parse("Main = a; b!")
@@ -95,15 +101,15 @@ class TestParse:
         p = parse("Main = (a; b)!")
         (loop,) = p.main
         assert isinstance(loop.body, Seq)
-        assert [c.names for c in loop.body.parts] == [("a",), ("b",)]
+        assert [c.name for c in loop.body.parts] == ["a", "b"]
 
     def test_missing_branches_become_skip(self):
         p = parse("Main = if a then b\nOther = try a")
         (iff,) = p.main
-        assert iff.els.names == ("skip",)
+        assert iff.els.name == "skip"
         (tr,) = p.procedures["Other"]
-        assert tr.then.names == ("skip",)
-        assert tr.els.names == ("skip",)
+        assert tr.then.name == "skip"
+        assert tr.els.name == "skip"
 
     def test_if_requires_then(self):
         with pytest.raises(ParseError):
@@ -113,8 +119,8 @@ class TestParse:
         p = parse("Main = P; a\nP = b; c")
         seq, call = p.main
         assert isinstance(seq, Seq)
-        assert [c.names for c in seq.parts] == [("b",), ("c",)]
-        assert call.names == ("a",)
+        assert [c.name for c in seq.parts] == ["b", "c"]
+        assert call.name == "a"
 
     def test_single_command_procedure_inlines_bare(self):
         p = parse("Main = P!\nP = a")
@@ -124,7 +130,7 @@ class TestParse:
     def test_forward_reference(self):
         p = parse("Main = Later\nLater = a")
         (call,) = p.main
-        assert call.names == ("a",)
+        assert call.name == "a"
 
     def test_recursion_rejected(self):
         with pytest.raises(RecursiveProcedure):
@@ -135,11 +141,12 @@ class TestParse:
     def test_unknown_name(self):
         with pytest.raises(UnknownRule):
             parse("Main = zzz")
-        with pytest.raises(UnknownRule):
+        with pytest.raises(ParseError, match="unexpected '{'"):
             parse("Main = {a, zzz}")
 
     def test_procedure_not_allowed_in_set(self):
-        with pytest.raises(ParseError):
+        """A rule set is one library entry; braces do not form one."""
+        with pytest.raises(ParseError, match="unexpected '{'"):
             parse("Main = {a, P}\nP = b")
 
     def test_break_placement(self):
@@ -174,17 +181,23 @@ class TestParse:
 
     def test_entry_selection(self):
         p = parse("Main = a\nAux = b")
-        assert p.main[0].names == ("a",)
-        assert p.procedures["Aux"][0].names == ("b",)
+        assert p.main[0].name == "a"
+        assert p.procedures["Aux"][0].name == "b"
         with pytest.raises(ParseError):
             parse("Aux = a")
         # Only Main is checked for a break outside any loop.
         aux = parse("Main = a\nAux = break").procedures["Aux"]
         assert isinstance(aux[0], Break)
 
+    def test_errors_name_their_line(self):
+        with pytest.raises(ParseError, match="^line 2: duplicate declaration 'Main'"):
+            parse("Main = a\nMain = b")
+        with pytest.raises(ParseError, match="^line 3: expected 'Name = commands'"):
+            parse("Main = a\n\nnot a declaration")
+
     def test_comments_and_blanks(self):
         p = parse("# header\n\nMain = a  # trailing\n")
-        assert p.main[0].names == ("a",)
+        assert p.main[0].name == "a"
 
 
 def step_once(text, g, mode="semantic"):
@@ -216,27 +229,27 @@ class TestStep:
         g = host()
         interp, cfg = step_once("Main = if grow then b else c", g)
         assert isinstance(cfg, Running)
-        assert cfg.prog[0].names == ("b",)
+        assert cfg.prog[0].name == "b"
         assert cfg.graph is g
         assert len(g.nodes) == 1
 
     def test_if_failure_takes_else(self):
         g = host()
         interp, cfg = step_once("Main = if never then b else c", g)
-        assert cfg.prog[0].names == ("c",)
+        assert cfg.prog[0].name == "c"
         assert cfg.graph is g
 
     def test_try_success_keeps_condition_graph(self):
         g = host()
         interp, cfg = step_once("Main = try a then b else c", g)
-        assert cfg.prog[0].names == ("b",)
+        assert cfg.prog[0].name == "b"
         assert cfg.graph.nodes[0] == Label(1)
 
     def test_try_failure_restores(self):
         g = host()
         snapshot = g.copy()
         interp, cfg = step_once("Main = try (grow; never) then b else c", g)
-        assert cfg.prog[0].names == ("c",)
+        assert cfg.prog[0].name == "c"
         assert cfg.graph is g
         assert g == snapshot
         assert interp.stats.mutations == 1
@@ -336,6 +349,12 @@ class TestRun:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             run_program(parse("Main = probe!"), host(), max_rule_calls=10)
+
+    def test_zero_budget_stops_the_first_rule_call(self):
+        interp = Interp(mode="efficient", max_rule_calls=0)
+        with pytest.raises(BudgetExceeded, match="budget 0 exhausted"):
+            interp.run(parse("Main = a"), host())
+        assert interp.stats.rule_calls == 0
 
     def test_match_multiplicity(self):
         two = Graph()
@@ -437,8 +456,8 @@ class TestEffects:
     def test_rule_call(self):
         assert flags(command("grow")) == (True, True, False)
         assert flags(command("probe")) == (True, False, False)
-        assert flags(command("{grow, skip}")) == (False, True, False)
-        assert flags(command("{probe, skip}")) == (False, False, False)
+        assert flags(command("grow_skip")) == (False, True, False)
+        assert flags(command("probe_skip")) == (False, False, False)
 
     def test_break(self):
         assert flags(command("(break)!").body) == (False, False, False)
@@ -474,7 +493,7 @@ class TestEffects:
         assert saves(command("try (grow; never) then a"))
         assert flags(command("try never then probe else grow")) == \
             (True, True, False)
-        assert flags(command("try grow then {probe, skip}")) == \
+        assert flags(command("try grow then probe_skip")) == \
             (False, True, False)
         for text in ("(try grow)!", "(try probe then never)!",
                      "(try never then grow)!"):
@@ -519,21 +538,18 @@ class TestBreakEscape:
     @pytest.mark.parametrize("mode", ["semantic", "efficient"])
     def test_break_escaping_the_program(self, mode):
         (call,) = parse("Main = a").main
-        for prog in (Break(), Seq((call, Break()))):
+        for com in (Break(), Seq((call, Break()))):
             with pytest.raises(RuntimeError, match="escaped the program"):
-                Interp(mode=mode).run(prog, host())
+                Interp(mode=mode).run(Program((com,), {}), host())
 
     @pytest.mark.parametrize("mode", ["semantic", "efficient"])
     @pytest.mark.parametrize("construct", [If, Try])
     def test_break_escaping_a_condition(self, mode, construct):
         a, never = parse("Main = a; never").main
         cond = construct(Seq((a, Break())), a, never)
-        for prog in (cond, Loop(cond)):
+        for com in (cond, Loop(cond)):
             with pytest.raises(RuntimeError, match="escaped a condition"):
-                Interp(mode=mode).run(prog, host())
-
-
-NAMES = sorted(LIB) + ["skip"]
+                Interp(mode=mode).run(Program((com,), {}), host())
 
 
 def random_command(rng, depth, in_loop):
@@ -544,8 +560,7 @@ def random_command(rng, depth, in_loop):
         kinds += ["seq", "if", "try", "loop"]
     kind = rng.choice(kinds)
     if kind == "call":
-        names = rng.sample(NAMES, rng.randint(1, 2))
-        return names[0] if len(names) == 1 else "{" + ", ".join(names) + "}"
+        return "_".join(rng.sample(NAMES, rng.randint(1, 2)))
     if kind == "break":
         return "break"
 
@@ -759,7 +774,8 @@ def test_journal_agrees_with_copying_every_save(monkeypatch):
     rng = Random(20261021)
     checked = journalled = 0
     while checked < 150:
-        (com,) = parse("Main = " + random_command(rng, rng.randint(2, 5), False)).main
+        prog = parse("Main = " + random_command(rng, rng.randint(2, 5), False))
+        (com,) = prog.main
         if not nested_saves(com, analysis(com)[1]):
             continue
         checked += 1
@@ -771,7 +787,7 @@ def test_journal_agrees_with_copying_every_save(monkeypatch):
             host = g.copy()
             copies = 0
             try:
-                end = type(interp.run(com, host)).__name__
+                end = type(interp.run(prog, host)).__name__
             except BudgetExceeded as e:
                 end = str(e)
             st = interp.stats

@@ -7,6 +7,7 @@ import pytest
 
 from minigp import lang, rules
 from minigp.compiler import gen_sim
+from minigp.errors import InputError
 from minigp.graphs import EMPTY, Graph, Label, graph_space, to_text
 from minigp.harness import run_sim
 from minigp.machines import counter_machine, filler_machine
@@ -277,6 +278,26 @@ class TestRuleSet:
         out = apply_ruleset(G, RuleSet([relabel_rule("a", 0, 1)]))
         assert out.applied and out.rule.name == "a" and out.total_matches == 1
         assert G.nodes[0] == Label(1)
+
+    def test_lone_rule_with_one_empty_side_is_applied(self):
+        """Only a lone rule with two empty sides has a fixed outcome."""
+        new, gone = Graph(), Graph()
+        new.add_node(Label(7))
+        gone.add_node(Label(5), root=True)
+        G = Graph()
+        G.add_node(Label(0), root=True)
+        out = apply_ruleset(G, RuleSet([Rule("add", Graph(), new, {})]))
+        assert out.applied and G.nodes == {0: Label(0), 1: Label(7)}
+        out = apply_ruleset(G, RuleSet([Rule("drop", gone, Graph(), {})]))
+        assert out == Outcome(False, None, 0)
+        assert G.nodes == {0: Label(0), 1: Label(7)}
+
+    def test_interface_pair_needs_both_sides(self):
+        one = Graph()
+        one.add_node(Label(0))
+        for left, right in ((Graph(), one), (one, Graph())):
+            with pytest.raises(InputError, match="not in both sides"):
+                Rule("half", left, right, {0: 0})
 
     def test_declaration_order_wins(self):
         G = Graph()

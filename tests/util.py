@@ -16,9 +16,9 @@ from minigp.encoding import (CapacityExceeded, EncodingParams,
                              content_digits, enc)
 from minigp.errors import InputError, ParseError, RunError
 from minigp.graphs import EMPTY, Atom, Graph, Label, graph_space
-from minigp.lang import (Break, BudgetExceeded, Com, Done, ExecStats, Fail,
-                         If, Interp, Loop, NullFailureViolation, Program,
-                         RuleCall, Seq, Try)
+from minigp.lang import (Break, BudgetExceeded, Done, ExecStats, Fail, If,
+                         Interp, Loop, NullFailureViolation, RuleCall, Seq,
+                         Try)
 from minigp.matching import (NotFastRule, compile_plan, match_all,
                              search_tree)
 from minigp.rules import DanglingViolation, Rule, apply_ruleset
@@ -518,11 +518,8 @@ def dangling_ok_reference(match, r, G):
         if lv in r.interface:
             continue
         w = h.node_map[lv]
-        for e in G.out_edges(w):
-            if e not in matched_edges:
-                return False
-        for e in G.in_edges(w):
-            if e not in matched_edges:
+        for e, (src, tgt, _) in G.edges.items():
+            if w in (src, tgt) and e not in matched_edges:
                 return False
     return True
 
@@ -853,14 +850,8 @@ class StepInterp:
         self.stats = ExecStats()
 
     def run(self, program, g0):
-        if isinstance(program, Program):
-            coms = program.main
-        elif isinstance(program, Com):
-            coms = (program,)
-        else:
-            coms = tuple(program)
         self._note(g0)
-        flat = tuple(c for com in coms for c in _flatten(com))
+        flat = tuple(c for com in program.main for c in _flatten(com))
         cfg = Running(flat, g0) if flat else Done(g0)
         while not is_terminal(cfg):
             cfg = self.step(cfg)
