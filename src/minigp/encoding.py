@@ -12,10 +12,13 @@ the input head, blue to the leftmost block, dashed to the active block, red
 to the rightmost cache node, and an unmarked edge to the cache head.
 
 The layout is written once, in `layout(s, k)`, and `layout_graph` builds
-its graphs.  `enc` is the graph of the whole layout; `dec`, after extracting
-a configuration from the graph, checks the whole graph against the layout
-of that configuration; and the compiler's `initial_graph` and `setup` rule
-are the level-0 layout of the initial configuration, split at INPUT.
+its graphs.  `enc` is the graph of the whole layout; `dec` finds the
+sections with `walk_sections`, extracts a configuration and checks the
+whole graph against the layout of that configuration; and the compiler's
+`initial_graph` and `setup` rule are the level-0 layout of the initial
+configuration, split at INPUT.  `layout` caches per input length and level
+what no configuration changes: the sizes, the three chains and the block
+id of each block content.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from typing import NoReturn
 
 from .errors import InputError, RunError
 from .graphs import EMPTY, Graph, Label
@@ -95,13 +100,46 @@ def _chain(first: int, length: int) -> list[tuple[int, int, Label]]:
     return out
 
 
+@lru_cache(maxsize=8)
+def _digit_strings(c: int) -> tuple[str, ...]:
+    """The c-digit ternary string of every block content at block size c."""
+    return tuple("".join(map(str, content_digits(v, c))) for v in range(3 ** c))
+
+
+_DIGIT_LABELS = {str(d): Label(d) for d in range(3)}
+
+
+class _Frame:
+    """What every level-k layout over an n-symbol input shares: the sizes,
+    the three chains, and `block_at`, the block id whose index is a
+    c-digit content.  `chains` holds the INPUT and BLOCKSET chains, which
+    the layout lists together."""
+
+    __slots__ = ("c", "capacity", "first_block", "first_cache", "blockset",
+                 "chains", "cache_chain", "slices", "block_at")
+
+    def __init__(self, n: int, k: int):
+        p = EncodingParams(k)
+        c, b = p.c, p.b
+        self.c, self.capacity = c, p.capacity
+        self.first_block, self.first_cache = n + 1, n + 1 + b
+        self.blockset = (EMPTY,) * b
+        self.chains = tuple(_chain(1, n) + _chain(n + 1, b))
+        self.cache_chain = tuple(_chain(n + 1 + b, c))
+        self.slices = tuple(slice(i * c, (i + 1) * c) for i in range(b))
+        self.block_at = {d: n + 1 + v for v, d in enumerate(_digit_strings(c))}
+
+
+_frame = lru_cache(maxsize=32)(_Frame)
+
+
 def layout(s: TMConfiguration, k: int) -> tuple[list[Label], list[tuple[int, int, Label]]]:
     """The canonical enc_k layout of s: node labels in id order and
     (src, tgt, label) edge triples in edge-id order, all triples distinct.
     Node ids run central, INPUT left to right, BLOCKSET, CACHE."""
-    p = EncodingParams(k)
-    if max(len(s.work), s.work_head + 1) > p.capacity:
-        raise CapacityExceeded(f"{max(len(s.work), s.work_head + 1)} squares exceed {p.capacity}")
+    f = _frame(len(s.input), k)
+    if max(len(s.work), s.work_head + 1) > f.capacity:
+        raise CapacityExceeded(f"{max(len(s.work), s.work_head + 1)} squares exceed {f.capacity}")
     n = len(s.input)
     if n == 0 or set(s.input) - {"0", "1"}:
         raise OutOfRange(f"input must be nonempty binary, got {s.input!r}")
@@ -114,26 +152,18 @@ def layout(s: TMConfiguration, k: int) -> tuple[list[Label], list[tuple[int, int
     if s.work_head < 0:
         raise OutOfRange(f"work head {s.work_head} is negative")
 
-    c, b = p.c, p.b
-    padded = s.work + str(BLANK) * (p.capacity - len(s.work))
+    c, first_block, first_cache = f.c, f.first_block, f.first_cache
+    padded = s.work + str(BLANK) * (f.capacity - len(s.work))
     active, offset = divmod(s.work_head, c)
-    first_block, first_cache = n + 1, n + 1 + b
+    labels = [Label(s.state), *map(_DIGIT_LABELS.__getitem__, s.input), *f.blockset,
+              *map(_DIGIT_LABELS.__getitem__, padded[active * c:(active + 1) * c])]
 
-    labels = [Label(s.state)]
-    labels += [Label(int(ch)) for ch in s.input]
-    labels += [EMPTY] * b
-    labels += [Label(int(ch)) for ch in padded[active * c:(active + 1) * c]]
-
-    dashed = [(first_block + i, first_block + int(padded[i * c:(i + 1) * c], 3), DASHED)
-              for i in range(b)]
+    targets = map(f.block_at.__getitem__, map(padded.__getitem__, f.slices))
+    dashed = list(zip(range(first_block, first_cache), targets, repeat(DASHED)))
     dashed[active] = (first_block + active, first_block, DASHED)
-    edges = [(0, 1, GREEN_I), (0, 1 + s.input_head, GREEN)]
-    edges += _chain(1, n)
-    edges += _chain(first_block, b)
-    edges += dashed
-    edges += [(0, first_block, BLUE), (0, first_block + active, DASHED)]
-    edges += _chain(first_cache, c)
-    edges += [(0, first_cache + c - 1, RED), (0, first_cache + offset, EMPTY)]
+    edges = [(0, 1, GREEN_I), (0, 1 + s.input_head, GREEN), *f.chains, *dashed,
+             (0, first_block, BLUE), (0, first_block + active, DASHED), *f.cache_chain,
+             (0, first_cache + c - 1, RED), (0, first_cache + offset, EMPTY)]
     return labels, edges
 
 
@@ -154,13 +184,12 @@ def enc(s: TMConfiguration, k: int) -> Graph:
     return layout_graph(*layout(s, k))
 
 
-@lru_cache(maxsize=8)
-def _digit_strings(c: int) -> tuple[str, ...]:
-    """The c-digit ternary string of every block content at block size c."""
-    return tuple("".join(map(str, content_digits(v, c))) for v in range(3 ** c))
+def _bad(reason: str) -> NoReturn:
+    """Reject a graph as breaking the configuration schema."""
+    raise MalformedConfigGraph(reason)
 
 
-def _walk_right(g: Graph, start: int, bad, what: str) -> list[int]:
+def _walk_right(g: Graph, start: int, what: str) -> list[int]:
     """Follow red edges rightward from start, guarding against cycles."""
     edges = g.edges
     order = [start]
@@ -170,119 +199,129 @@ def _walk_right(g: Graph, start: int, bad, what: str) -> list[int]:
         if not reds:
             return order
         if len(reds) > 1:
-            bad(f"{what}: node {order[-1]} has several red out-edges")
+            _bad(f"{what}: node {order[-1]} has several red out-edges")
         tgt = edges[reds[0]][1]
         if tgt in seen:
-            bad(f"{what}: red edges form a cycle at node {tgt}")
+            _bad(f"{what}: red edges form a cycle at node {tgt}")
         order.append(tgt)
         seen.add(tgt)
+
+
+def walk_sections(g: Graph) -> tuple[list[int], dict[int, int], dict[Label, int], int, int]:
+    """Find the schema sections by walking g from its root.
+
+    Returns the nodes in layout order (central, then INPUT, BLOCKSET and
+    CACHE, each left to right), each node's position in that order, the
+    central node's out-edge targets by label, and the INPUT and BLOCKSET
+    lengths.  Raises MalformedConfigGraph where the walk breaks the schema
+    or leaves a node out.
+    """
+    if len(g.roots) != 1:
+        _bad(f"expected exactly one root, found {len(g.roots)}")
+    central = next(iter(g.roots))
+    if not isinstance(getattr(g.nodes[central], "atom", None), int):
+        _bad(f"central label {g.nodes[central]} is not a state")
+
+    targets: dict[Label, int] = {}
+    out = g.out_edges(central)
+    if len(out) != 6:
+        _bad(f"central node has {len(out)} out-edges, expected 6")
+    for e in out:
+        _, tgt, lab = g.edges[e]
+        if lab in targets:
+            _bad(f"central node has two {lab} out-edges")
+        targets[lab] = tgt
+    for lab in _CENTRAL_LABELS:
+        if lab not in targets:
+            _bad(f"central node lacks a {lab} out-edge")
+
+    inp = _walk_right(g, targets[GREEN_I], "INPUT")
+    blocks = _walk_right(g, targets[BLUE], "BLOCKSET")
+    cache_right = targets[RED]
+    cache = _walk_right(g, cache_right, "CACHE")
+    if len(cache) != 1:
+        _bad("central red edge does not target the rightmost cache node")
+    blues = [e for e in g.out_edges(cache_right) if g.edges[e][2] == BLUE]
+    cache, seen = [cache_right], {cache_right}
+    while blues:
+        if len(blues) > 1:
+            _bad(f"CACHE: node {cache[0]} has several blue out-edges")
+        tgt = g.edges[blues[0]][1]
+        if tgt in seen:
+            _bad("CACHE: blue edges form a cycle")
+        cache.insert(0, tgt)
+        seen.add(tgt)
+        blues = [e for e in g.out_edges(tgt) if g.edges[e][2] == BLUE]
+
+    c, b = len(cache), len(blocks)
+    if c < 2:
+        _bad(f"cache has {c} nodes, need at least 2")
+    if b != 3 ** c:
+        _bad(f"blockset has {b} nodes, expected 3^{c}")
+    sections = [central] + inp + blocks + cache
+    to_ref = dict(zip(sections, range(len(sections))))
+    if len(to_ref) != len(sections):
+        _bad("schema sections overlap")
+    if to_ref.keys() != g.nodes.keys():
+        _bad(f"{len(g.nodes) - len(sections)} nodes outside the schema sections")
+    return sections, to_ref, targets, len(inp), b
 
 
 def dec(g: Graph) -> tuple[TMConfiguration, int]:
     """Decode and fully validate a configuration graph.
 
-    Walks the schema sections to extract the configuration, then requires
-    the whole graph to equal its canonical encoding, the layout enc builds
-    from: every node label position by position and the multiset of edges
-    under the section order.  Any schema deviation ends in
-    MalformedConfigGraph naming the first broken constraint.
+    Walks the schema sections (`walk_sections`) to extract the
+    configuration, then requires the whole graph to equal its canonical
+    encoding, the layout enc builds from: every node label position by
+    position and the multiset of edges under the section order.  Any
+    schema deviation ends in MalformedConfigGraph naming the first broken
+    constraint.
     """
-    def bad(reason: str):
-        raise MalformedConfigGraph(reason)
-
-    if len(g.roots) != 1:
-        bad(f"expected exactly one root, found {len(g.roots)}")
-    central = next(iter(g.roots))
-    state = getattr(g.nodes[central], "atom", None)
-    if not isinstance(state, int):
-        bad(f"central label {g.nodes[central]} is not a state")
-
-    targets: dict[tuple, int] = {}
-    out = g.out_edges(central)
-    if len(out) != 6:
-        bad(f"central node has {len(out)} out-edges, expected 6")
-    for e in out:
-        _, tgt, lab = g.edges[e]
-        if lab in targets:
-            bad(f"central node has two {lab} out-edges")
-        targets[lab] = tgt
-    for lab in _CENTRAL_LABELS:
-        if lab not in targets:
-            bad(f"central node lacks a {lab} out-edge")
-
-    inp = _walk_right(g, targets[GREEN_I], bad, "INPUT")
-    blocks = _walk_right(g, targets[BLUE], bad, "BLOCKSET")
-    cache_right = targets[RED]
-    cache = _walk_right(g, cache_right, bad, "CACHE")
-    if len(cache) != 1:
-        bad("central red edge does not target the rightmost cache node")
-    blues = [e for e in g.out_edges(cache_right) if g.edges[e][2] == BLUE]
-    cache, seen = [cache_right], {cache_right}
-    while blues:
-        if len(blues) > 1:
-            bad(f"CACHE: node {cache[0]} has several blue out-edges")
-        tgt = g.edges[blues[0]][1]
-        if tgt in seen:
-            bad("CACHE: blue edges form a cycle")
-        cache.insert(0, tgt)
-        seen.add(tgt)
-        blues = [e for e in g.out_edges(tgt) if g.edges[e][2] == BLUE]
-
-    c, b, n = len(cache), len(blocks), len(inp)
-    if c < 2:
-        bad(f"cache has {c} nodes, need at least 2")
-    if b != 3 ** c:
-        bad(f"blockset has {b} nodes, expected 3^{c}")
+    sections, to_ref, targets, n, b = walk_sections(g)
+    c = len(sections) - 1 - n - b
     k = c - 2
-    sections = [central] + inp + blocks + cache
-    to_ref = dict(zip(sections, range(len(sections))))
-    if len(to_ref) != len(sections):
-        bad("schema sections overlap")
-    if to_ref.keys() != g.nodes.keys():
-        bad(f"{len(g.nodes) - len(sections)} nodes outside the schema sections")
-
     first_block, first_cache = n + 1, n + 1 + b
     found = [g.nodes[v] for v in sections]
     bits = [lab and lab.atom for lab in found[1:first_block]]
     if any(x not in (0, 1) for x in bits):
-        bad("input node labelled outside {0,1}")
+        _bad("input node labelled outside {0,1}")
     input_head = to_ref[targets[GREEN]] - 1
     if not 0 <= input_head < n:
-        bad("input head edge targets a non-input node")
+        _bad("input head edge targets a non-input node")
 
     active = to_ref[targets[DASHED]] - first_block
     if not 0 <= active < b:
-        bad("active block edge targets a non-block node")
+        _bad("active block edge targets a non-block node")
 
     digits = [lab and lab.atom for lab in found[first_cache:]]
     if any(d not in (0, 1, 2) for d in digits):
-        bad("cache node labelled outside {0,1,2}")
+        _bad("cache node labelled outside {0,1,2}")
     offset = to_ref[targets[EMPTY]] - first_cache
     if not 0 <= offset < c:
-        bad("cache head edge targets a non-cache node")
+        _bad("cache head edge targets a non-cache node")
 
     contents = []
     block_strings = _digit_strings(c)
-    for i, v in enumerate(blocks):
+    for i, v in enumerate(sections[first_block:first_cache]):
         if i == active:
             contents.append("".join(str(d) for d in digits))
             continue
         dashed = [e for e in g.out_edges(v) if g.edges[e][2] == DASHED]
         if len(dashed) != 1:
-            bad(f"block node {v} has {len(dashed)} dashed out-edges")
+            _bad(f"block node {v} has {len(dashed)} dashed out-edges")
         j = to_ref[g.edges[dashed[0]][1]] - first_block
         if not 0 <= j < b:
-            bad(f"block node {v} points outside the blockset")
+            _bad(f"block node {v} points outside the blockset")
         contents.append(block_strings[j])
 
     work = "".join(contents).rstrip(str(BLANK))
-    s = TMConfiguration(state, "".join(str(x) for x in bits), input_head,
+    s = TMConfiguration(found[0].atom, "".join(str(x) for x in bits), input_head,
                         work, active * c + offset)
 
     labels, edges = layout(s, k)
     if found != labels:
         i = next(i for i, lab in enumerate(found) if lab != labels[i])
-        bad(f"node {sections[i]} labelled {found[i]}, schema wants {labels[i]}")
+        _bad(f"node {sections[i]} labelled {found[i]}, schema wants {labels[i]}")
     srcs, tgts, labs = zip(*g.edges.values())
     mine = set(zip(map(to_ref.__getitem__, srcs), map(to_ref.__getitem__, tgts), labs))
     # The layout's triples are distinct, so equal counts and equal sets
@@ -291,5 +330,5 @@ def dec(g: Graph) -> tuple[TMConfiguration, int]:
         mine = Counter((to_ref[s_], to_ref[t], lab) for s_, t, lab in g.edges.values())
         ref = Counter(edges)
         diff = next(iter((mine - ref) or (ref - mine)))
-        bad(f"edge structure differs from the schema near {diff}")
+        _bad(f"edge structure differs from the schema near {diff}")
     return s, k

@@ -1,8 +1,10 @@
 """Lockstep verification and run metrics.
 
 `lockstep_verify` replays a machine against its compiled simulator one
-simulated transition at a time, decoding the host graph after every
-completed step.  `run_sim` runs the simulator to completion and collects
+simulated transition at a time, comparing the host graph after every
+completed step with the layout of the machine's next configuration; it
+decodes the graph only where a level starts, where a comparison fails, and
+at the end.  `run_sim` runs the simulator to completion and collects
 size and time counters.  Both run a machine's program once on one host
 graph through `_simulator`, which compiles the machine on its first run and
 keeps the program on it for every later run.
@@ -12,10 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import compress
+from operator import ne
 from typing import Callable, Optional, Sequence
 
 from .compiler import gen_sim, initial_graph
-from .encoding import EncodingParams, MalformedConfigGraph, dec
+from .encoding import (EncodingParams, MalformedConfigGraph, dec, layout,
+                       walk_sections)
 from .errors import InputError, RunError
 from .graphs import Graph
 from .lang import (Done, ExecStats, Interp, Loop, NullFailureViolation,
@@ -125,6 +130,66 @@ def _simulator(m: TuringMachine, input: str, mode: str,
     return interp, sim.program, initial_graph(input, m.start)
 
 
+class _LayoutCheck:
+    """Compares each new host graph with the layout of the machine's next
+    configuration.  At the last check the host, whose edges `edges`
+    copies, equalled `prev`, the level-k layout edges, under the node map
+    `order`: the host's node ids in layout order, from the walk of a graph
+    `dec` accepted.
+
+    Nothing relabels an edge, so an edge keeps its triple under its id,
+    and the edges a step changed are among the ids gone since the last
+    check and the ids new since then.  A rule application deletes every
+    edge it matched and adds back the ones it keeps, so a triple can be
+    both gone and new.  The host equals the new layout when its roots,
+    node labels and counts match it and the triples that are only gone or
+    only new are where the layout changed; with equal edge counts, no new
+    triple can repeat.  The layouts of one level list the same edges in
+    the same order, so where two of them differ position by position is
+    where they differ as sets.
+    """
+
+    def __init__(self, g: Graph, s: TMConfiguration, k: int):
+        self.order = walk_sections(g)[0]
+        self.roots = {self.order[0]}
+        self.k = k
+        self.prev = layout(s, k)[1]
+        self.edges = dict(g.edges)
+
+    def follow(self, g: Graph, m: TuringMachine, s: TMConfiguration
+               ) -> Optional[TMConfiguration]:
+        """The step after s if g `matches` it; None if g does not, or if
+        the machine halts or faults at s."""
+        try:
+            nxt = tm_step(m, s)
+        except RunError:
+            return None
+        return nxt if nxt is not None and self.matches(g, nxt) else None
+
+    def matches(self, g: Graph, s: TMConfiguration) -> bool:
+        """Whether g is the level-k layout of s under the node map; if so,
+        g becomes the reference for the next comparison."""
+        try:
+            labels, edges = layout(s, self.k)
+        except InputError:
+            return False
+        nodes, now, then, h = g.nodes, g.edges, self.edges, self.order
+        if (g.roots != self.roots or len(nodes) != len(labels)
+                or len(now) != len(edges) or list(map(nodes.get, h)) != labels):
+            return False
+        changed = list(map(ne, edges, self.prev))
+        added = set(map(now.__getitem__, now.keys() - then.keys()))
+        dropped = set(map(then.__getitem__, then.keys() - now.keys()))
+        if (added - dropped
+                != {(h[a], h[b], lab) for a, b, lab in compress(edges, changed)}
+                or dropped - added
+                != {(h[a], h[b], lab) for a, b, lab in compress(self.prev, changed)}):
+            return False
+        self.edges = dict(now)
+        self.prev = edges
+        return True
+
+
 def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
                     mode: str = "efficient",
                     max_rule_calls: Optional[int] = None,
@@ -132,8 +197,10 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
     """Run the compiled simulator and the machine side by side.
 
     After every completed step of the simulation loop the host graph is
-    decoded and compared against the stepped reference configuration; a
-    completed restart must reproduce the initial configuration one
+    compared with the layout of the stepped reference configuration.  The
+    first step, a failed comparison and the final graph are decoded with
+    `dec` instead, whose verdict and configuration the report then carries;
+    a completed restart must decode to the initial configuration one
     capacity level up, after which the reference replays from the start.
     Checking stops cleanly once max_steps steps have been compared, so a
     zero budget compares none.  Efficient mode is the default because only
@@ -144,6 +211,7 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
     report = VerifyReport()
     oracle = initial_configuration(m, input)
     level = 0
+    check: Optional[_LayoutCheck] = None
 
     def decode(g: Graph, where: str) -> tuple[TMConfiguration, int]:
         try:
@@ -153,27 +221,32 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
             raise _Abort() from None
 
     def step_checked(g: Graph, stats: ExecStats) -> None:
-        nonlocal oracle
+        nonlocal oracle, check
         if not max_steps:
             raise _Abort()
-        got, got_k = decode(g, f"step {report.steps_checked + 1}")
-        nxt = tm_step(m, oracle)
+        got = nxt = check.follow(g, m, oracle) if check else None
+        got_k = level
         if nxt is None:
-            report.first_divergence = (report.steps_checked + 1, got, oracle)
-            report.errors.append("simulation stepped past the machine's halt")
-            raise _Abort()
+            got, got_k = decode(g, f"step {report.steps_checked + 1}")
+            nxt = tm_step(m, oracle)
+            if nxt is None:
+                report.first_divergence = (report.steps_checked + 1, got, oracle)
+                report.errors.append("simulation stepped past the machine's halt")
+                raise _Abort()
         oracle = nxt
         report.steps_checked += 1
         if trace is not None:
             trace(report.steps_checked, got)
-        if got != oracle or got_k != level:
-            report.first_divergence = (report.steps_checked, got, oracle)
-            raise _Abort()
+        if got is not oracle:
+            if got != oracle or got_k != level:
+                report.first_divergence = (report.steps_checked, got, oracle)
+                raise _Abort()
+            check = _LayoutCheck(g, got, level)
         if report.steps_checked >= max_steps:
             raise _Abort()
 
     def restarted(g: Graph) -> None:
-        nonlocal oracle, level
+        nonlocal oracle, level, check
         level += 1
         got, got_k = decode(g, f"restart to level {level}")
         fresh = initial_configuration(m, input)
@@ -183,6 +256,7 @@ def lockstep_verify(m: TuringMachine, input: str, max_steps: int = 10_000, *,
                                  "configuration at the next level")
             raise _Abort()
         oracle = fresh
+        check = _LayoutCheck(g, fresh, level)
 
     interp, program, g = _simulator(m, input, mode, max_rule_calls,
                                     step_checked, restarted)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +27,7 @@ from minigp.encoding import (
     layout,
 )
 from minigp.graphs import EMPTY, Label, graph_space, to_text
+from minigp.harness import _LayoutCheck
 from minigp.turing import TMConfiguration
 from util import (LengthMismatch, block_content, check_boundedness,
                   dec_reference, enc_reference, min_k, validate_host_graph)
@@ -295,6 +297,94 @@ class TestDecDifferential:
                 else:
                     seen["rejected earlier"] += 1
         assert min(seen.values()) >= 50, seen
+
+
+class TestLayoutCheck:
+    """The per-step comparison of `lockstep_verify`, anchored on an
+    encoding, rejects every spoil of it that dec rejects or decodes to
+    another configuration, and accepts the rest."""
+
+    @staticmethod
+    def spoil(rng, g, kind):
+        """`spoil`, except that an edge is relabelled the one way a Graph
+        method can do it, by removing it and adding it back: writing
+        `g.edges` directly breaks the comparison's premise that an edge
+        keeps its triple under its id."""
+        if kind != "relabel edge":
+            return spoil(rng, g, kind)
+        e = rng.choice(sorted(g.edges))
+        src, tgt, _ = g.edges[e]
+        g.remove_edge(e)
+        g.add_edge(src, tgt, rng.choice(EDGE_LABELS))
+
+    def test_rejects_spoiled_encodings(self):
+        rng = random.Random(20261022)
+        seen = Counter()
+        for _ in range(200):
+            k = rng.randrange(3)
+            s = random_config(rng, k)
+            for kinds in [(kind,) for kind in SPOILS] + [
+                    ("relabel node", "relabel node"), tuple(rng.choices(SPOILS, k=2))]:
+                g = enc(s, k)
+                check = _LayoutCheck(g, s, k)
+                for kind in kinds:
+                    self.spoil(rng, g, kind)
+                decoded = outcome(dec, g) == (s, k)
+                accepted = check.matches(g, s)
+                assert accepted == decoded, (s, k, kinds)
+                seen[accepted] += 1
+        assert seen[False] >= 1000 and seen[True] >= 30, seen
+
+    @staticmethod
+    def step(rng, g, s, t, k, fault):
+        """Turn g, the encoding of s, into the layout of t through Graph
+        methods, removing and adding back three edges both keep, as a rule
+        application does.  Fault "swap" removes one more kept edge in place
+        of an edge t drops, if t drops one; "twice" adds one of the three
+        back twice.  Returns whether the fault was made."""
+        (old_labels, old), (labels, new) = layout(s, k), layout(t, k)
+        for v, (a, b) in enumerate(zip(old_labels, labels)):
+            if a != b:
+                g.relabel_node(v, b)
+        # enc numbers the edges in layout order.
+        kept = [e for e, triple in enumerate(old) if triple in set(new)]
+        churn = rng.sample(kept, 3)
+        dropped = [e for e, triple in enumerate(old) if triple not in set(new)]
+        if fault == "swap" and dropped:
+            dropped[0] = rng.choice([e for e in kept if e not in churn])
+        for e in dropped + churn:
+            g.remove_edge(e)
+        added = [x for x in new if x not in set(old)] + [old[e] for e in churn]
+        if fault == "twice":
+            added.append(old[churn[0]])
+        for triple in added:
+            g.add_edge(*triple)
+        return fault == "twice" or fault == "swap" and bool(dropped)
+
+    def test_follows_a_step_through_graph_methods(self):
+        """A neighbour t of s moves a head or changes the state; the
+        comparison accepts the host stepped from s to t, and rejects it
+        where a kept edge was removed in place of a dropped one or a kept
+        edge was added back twice."""
+        rng = random.Random(20261023)
+        seen = Counter()
+        for _ in range(150):
+            k = rng.randrange(3)
+            s = random_config(rng, k)
+            t = rng.choice([
+                replace(s, work_head=(s.work_head + 1) % EncodingParams(k).capacity),
+                replace(s, work_head=max(s.work_head - 1, 0)),
+                replace(s, input_head=rng.randrange(len(s.input))),
+                replace(s, state=s.state + 1)])
+            for fault in (None, "swap", "twice"):
+                g = enc(s, k)
+                check = _LayoutCheck(g, s, k)
+                faulty = self.step(rng, g, s, t, k, fault)
+                accepted = check.matches(g, t)
+                assert accepted == (outcome(dec, g) == (t, k)) != faulty, (s, t, k, fault)
+                seen[fault, accepted] += 1
+        assert seen[None, True] == 150 and seen["twice", False] == 150, seen
+        assert seen["swap", False] >= 80, seen
 
 
 class TestDecValidation:

@@ -38,6 +38,7 @@ from minigp.machines import counter_machine, filler_machine
 from minigp.rules import RuleSet
 from minigp.turing import (
     BudgetExceeded,
+    TMConfiguration,
     TuringMachine,
     initial_configuration,
     tm_run,
@@ -135,6 +136,136 @@ class TestLockstep:
         assert report.ok
         assert [i for i, _ in seen] == list(range(1, report.steps_checked + 1))
         assert seen[-1][1] == report.final_config
+
+
+def wrong_simulator(make: Callable[[], TuringMachine], key: tuple[int, int, int],
+                    entry: tuple) -> TuringMachine:
+    """make()'s machine carrying the compiled simulator of a copy whose
+    transition at key is entry instead."""
+    m = make()
+    wrong = TuringMachine(m.start, m.accept, {**m.delta, key: entry})
+    object.__setattr__(m, "_sim", harness.gen_sim(wrong))
+    return m
+
+
+class TestStepComparison:
+    """`lockstep_verify` compares each step's host graph with the layout
+    of the next configuration, and runs `dec` only at the first check,
+    after each restart, on a failed comparison and on the final graph."""
+
+    @pytest.mark.parametrize("mode", ["efficient", "semantic"])
+    def test_accepts_exactly_when_dec_does(self, monkeypatch,
+                                           verification_cases, mode):
+        seen = Counter()
+        dec, follow = harness.dec, harness._LayoutCheck.follow
+
+        def checked(check, g, m, s):
+            try:
+                want = harness.tm_step(m, s)
+                decoded = want is not None and dec(g) == (want, check.k)
+            except RunError:
+                decoded = False
+            got = follow(check, g, m, s)
+            assert (got is not None) == decoded
+            assert got is None or got == want
+            seen[decoded] += 1
+            return got
+
+        monkeypatch.setattr(harness._LayoutCheck, "follow", checked)
+        for label, m, input in verification_cases:
+            assert lockstep_verify(m, input, mode=mode).ok, label
+        # Every step but the first check of each of the 42 cases.
+        assert seen == {True: 4035}
+
+    @pytest.mark.parametrize("mode", ["efficient", "semantic"])
+    @pytest.mark.parametrize("make, key, entry, steps, got, want", [
+        # A wrong write: a cache node's label.
+        (counter_machine, (1, 1, 2), (2, 1, "S", "S"), 7,
+         (2, "000001", 5, "2000001", 6), (2, "000001", 5, "2000000", 6)),
+        # A wrong work head move: the central node's cache head edge.
+        (counter_machine, (3, 1, 0), (3, 0, "S", "S"), 12,
+         (3, "000001", 5, "2000010", 6), (3, "000001", 5, "2000010", 7)),
+        # A wrong write at square 20, which only level 1 reaches: 18
+        # steps at level 0, then 20 replayed ones.
+        (filler_machine, (20, 1, 2), (21, 0, "S", "R"), 38,
+         (21, "10", 0, "1" * 20 + "0", 21), (21, "10", 0, "1" * 21, 21)),
+    ], ids=["write", "head-move", "after-restart"])
+    def test_names_the_diverging_step(self, make, key, entry, steps, got,
+                                      want, mode):
+        m = wrong_simulator(make, key, entry)
+        input = "000001" if make is counter_machine else "10"
+        report = lockstep_verify(m, input, mode=mode)
+        assert report.first_divergence == (
+            steps, TMConfiguration(*got), TMConfiguration(*want))
+        assert report.steps_checked == steps
+        assert report.errors == []
+        assert report.restarts == (make is filler_machine)
+
+    @pytest.mark.parametrize("mode", ["efficient", "semantic"])
+    @pytest.mark.parametrize("make, input, restarts", [
+        (counter_machine, counter_input(8), 0), (filler_machine, unary(4), 2)])
+    def test_decodes_only_at_anchors(self, monkeypatch, make, input, restarts,
+                                     mode):
+        """The first check, one per restart and the final graph."""
+        calls = 0
+        dec = harness.dec
+
+        def counting(g):
+            nonlocal calls
+            calls += 1
+            return dec(g)
+
+        monkeypatch.setattr(harness, "dec", counting)
+        report = lockstep_verify(make(), input, mode=mode)
+        assert report.ok and report.restarts == restarts
+        assert calls == restarts + 2
+
+    def test_python_calls_per_checked_step(self, monkeypatch):
+        """Calls inside the per-step check on filler unary(10), which
+        climbs from c=2 to c=5: 11 on every step that does not decode, at
+        every level, against 137 at c=2 and 1,088 at c=5 when every step
+        decoded.  The budget sits 0.5 above the count with CPython 3.11.7;
+        counts from other Python versions are not comparable."""
+        calls, compared, decoded = Counter(), Counter(), Counter()
+        level = 2
+        decode = harness.dec.__code__
+        simulator = harness._simulator
+
+        def profiled(m, input, mode, max_rule_calls, on_step, on_restart):
+            def step(g, stats):
+                seen = []
+
+                def hook(frame, event, arg):
+                    if event == "call":
+                        seen.append(frame.f_code)
+
+                previous = sys.getprofile()
+                sys.setprofile(hook)
+                try:
+                    on_step(g, stats)
+                finally:
+                    sys.setprofile(previous)
+                if decode in seen:
+                    decoded[level] += 1
+                else:
+                    calls[level] += len(seen)
+                    compared[level] += 1
+
+            def restart(g):
+                nonlocal level
+                level += 1
+                on_restart(g)
+
+            return simulator(m, input, mode, max_rule_calls, step, restart)
+
+        monkeypatch.setattr(harness, "_simulator", profiled)
+        assert lockstep_verify(filler_machine(), unary(10)).ok
+        assert dict(decoded) == {2: 1}
+        per_step = {c: calls[c] / compared[c] for c in compared}
+        assert sorted(per_step) == [2, 3, 4, 5]
+        assert max(per_step.values()) <= 11.5, (
+            f"Python calls per checked step by level c: {per_step}, budget "
+            f"11.5, Python {platform.python_version()}")
 
 
 class TestMeasure:
